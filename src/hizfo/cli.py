@@ -93,12 +93,16 @@ def cmd_train(cfg: ExperimentConfig, out: Path) -> int:
     return 2 if report.diverged else 0
 
 
+def _set_seed(cfg: ExperimentConfig, seed: int) -> None:
+    """One seed for the run, the model and the data."""
+    for section, key in (("run", "master_seed"), ("model", "seed"), ("task", "data_seed")):
+        cfg.set(section, key, seed)
+
+
 def _sweep_worker(args):
     text, axis, value, seed = args
     cfg = parse_config(text)
-    cfg.set("run", "master_seed", seed)
-    cfg.set("model", "seed", seed)
-    cfg.set("task", "data_seed", seed)
+    _set_seed(cfg, seed)
     if axis == "rho":
         cfg.set("partition", "rho", value)
     elif axis == "r":
@@ -109,12 +113,11 @@ def _sweep_worker(args):
     _, eval_batches = build_data(cfg, model)
     opt = build_optimizer_config(cfg)
     report = train(model, batches, opt, plan, cfg.algorithm, eval_batches=eval_batches)
-    final = report.final_eval_loss
     return {
         "axis": axis,
         "value": value,
         "seed": seed,
-        "final_eval_loss": float("inf") if report.diverged else final,
+        "final_eval_loss": report.final_eval_loss,  # inf when the run diverged
         "diverged": int(report.diverged),
         "steps": report.steps_run,
         "backward_flops": report.total_backward_flops,
@@ -211,24 +214,13 @@ def main(argv=None) -> int:
             return cmd_report(Path(args.out))
         cfg = load_config(args.config)
         if args.seed is not None:
-            cfg.set("run", "master_seed", args.seed)
-            cfg.set("model", "seed", args.seed)
-            cfg.set("task", "data_seed", args.seed)
+            _set_seed(cfg, args.seed)
         out = Path(args.out) if args.out else Path(cfg.out_dir)
-        if args.command == "profile":
-            return cmd_profile(cfg, out)
-        if args.command == "partition":
-            return cmd_partition(cfg, out)
-        if args.command == "train":
-            return cmd_train(cfg, out)
         if args.command == "sweep":
             values = [float(v) for v in args.values.split(",") if v.strip()]
             return cmd_sweep(cfg, out, args.axis, values)
-        raise ConfigurationError(f"unknown command {args.command}")
-    except ConfigurationError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as e:
+        return {"profile": cmd_profile, "partition": cmd_partition, "train": cmd_train}[args.command](cfg, out)
+    except (ConfigurationError, FileNotFoundError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 1
 

@@ -227,18 +227,6 @@ def build_optimizer_config(cfg: ExperimentConfig) -> OptimizerConfig:
     algorithm = cfg.algorithm
     if algorithm not in ALGORITHMS:
         raise ConfigurationError(f"unknown algorithm {algorithm!r}")
-    return OptimizerConfig(
-        eta_fo=cfg.get("optimizer", "eta_fo"),
-        eta_zo=cfg.get("optimizer", "eta_zo"),
-        epsilon=cfg.get("optimizer", "epsilon"),
-        alpha=cfg.get("optimizer", "alpha"),
-        master_seed=cfg.master_seed,
-        fo_rule=cfg.get("optimizer", "fo_rule"),
-        beta1=cfg.get("optimizer", "beta1"),
-        beta2=cfg.get("optimizer", "beta2"),
-        weight_decay=cfg.get("optimizer", "weight_decay"),
-        max_steps=cfg.get("optimizer", "max_steps"),
-        epochs=cfg.get("optimizer", "epochs"),
-        eval_interval=cfg.get("optimizer", "eval_interval"),
-        probes=cfg.get("optimizer", "probes"),
-    )
+    # every [optimizer] key but the algorithm is an OptimizerConfig field
+    keys = [k for k in _SCHEMA["optimizer"] if k != "algorithm"]
+    return OptimizerConfig(master_seed=cfg.master_seed, **{k: cfg.get("optimizer", k) for k in keys})

@@ -90,15 +90,6 @@ class CostModel:
             "total_forward_flops": self.total_forward_flops,
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "CostModel":
-        return cls(
-            [
-                CostEntry(t["name"], t["layer_index"], t["grad_flops"], t["prop_flops"], t["fwd_flops"])
-                for t in d["tensors"]
-            ]
-        )
-
 
 class FlopsTally:
     """Running operation counts for one model instance."""
@@ -107,18 +98,10 @@ class FlopsTally:
         self.forward = 0
         self.backward = 0
 
-    def snapshot(self):
-        return (self.forward, self.backward)
-
 
 def _init_dense(rng, fan_in, fan_out):
     scale = 1.0 / np.sqrt(fan_in)
     return rng.uniform(-scale, scale, size=(fan_in, fan_out))
-
-
-def _check_finite(value, layer_index, what):
-    if not np.all(np.isfinite(value)):
-        raise NumericOverflowError(f"non-finite {what} at layer {layer_index}", layer_index)
 
 
 class LayeredModel:
@@ -136,7 +119,6 @@ class LayeredModel:
         self.layers = layers_output_first
         self._tensors = []
         for i, layer in enumerate(self.layers):
-            layer.index = i
             for t in layer.tensors:
                 t.layer_index = i
                 self._tensors.append(t)
@@ -153,24 +135,12 @@ class LayeredModel:
     def tensors_with_role(self, role: Role) -> list[ParamTensor]:
         return [t for t in self._tensors if t.role == role]
 
-    def parameter_vector(self) -> np.ndarray:
-        return np.concatenate([t.data for t in self._tensors]) if self._tensors else np.zeros(0)
-
-    def set_parameter_vector(self, vec: np.ndarray) -> None:
-        pos = 0
-        for t in self._tensors:
-            t.data[:] = vec[pos : pos + t.size]
-            pos += t.size
-
     # subclasses implement:
     def _forward(self, batch):  # -> (loss, cache)
         raise NotImplementedError
 
     def _backward(self, batch, cache, active: set):  # -> dict name -> grad
         raise NotImplementedError
-
-    def _forward_flops(self, batch_size: int) -> int:
-        return self.cost_model(batch_size).total_forward_flops
 
     def cost_model(self, batch_size: int) -> CostModel:
         batch_size = int(batch_size)
@@ -192,7 +162,7 @@ class LayeredModel:
             loss, cache = self._forward(batch)
         if not np.isfinite(loss):
             raise NumericOverflowError("non-finite loss", 0)
-        self.tally.forward += self._forward_flops(batch.size)
+        self.tally.forward += self.cost_model(batch.size).total_forward_flops
         return float(loss), cache
 
     def backward_truncated(self, batch: Batch, active) -> dict:
@@ -217,16 +187,27 @@ class LayeredModel:
         return grads
 
 
-class QuadraticModel(LayeredModel):
+class _AnalyticModel(LayeredModel):
+    """A closed-form objective of one tensor per layer: the batch is ignored,
+    each tensor costs one FLOP per element and there is no activation chain
+    to propagate through."""
+
+    def dummy_batch(self) -> Batch:
+        return Batch(np.zeros((1, 1)), np.zeros((1, 1)))
+
+    def _cost_model(self, batch_size: int) -> CostModel:
+        return CostModel(
+            [CostEntry(t.name, t.layer_index, t.size, 0, t.size) for t in self._tensors]
+        )
+
+
+class QuadraticModel(_AnalyticModel):
     """Sum of independent quadratic blocks 0.5*c*||theta - target||^2.
 
-    Each block is one tensor in its own layer. Analytic model: the batch
-    argument is ignored, gradients are closed-form, and propagation costs
-    are zero (there is no activation chain).
+    Each block is one tensor in its own layer; gradients are closed-form.
     """
 
     kind = "quadratic"
-    loss_kind = "analytic"
 
     def __init__(self, blocks=((10, 1.0, 0.0),), seed=0):
         super().__init__()
@@ -244,9 +225,6 @@ class QuadraticModel(LayeredModel):
             self.targets.append(np.full(dim, float(target)) if np.isscalar(target) else np.asarray(target, float))
         self._register(layers)
 
-    def dummy_batch(self) -> Batch:
-        return Batch(np.zeros((1, 1)), np.zeros((1, 1)))
-
     def _forward(self, batch):
         loss = 0.0
         for t, c, tgt in zip(self._tensors, self.curvatures, self.targets):
@@ -261,17 +239,11 @@ class QuadraticModel(LayeredModel):
                 grads[t.name] = c * (t.data - tgt)
         return grads
 
-    def _cost_model(self, batch_size: int) -> CostModel:
-        return CostModel(
-            [CostEntry(t.name, t.layer_index, t.size, 0, t.size) for t in self._tensors]
-        )
 
-
-class RosenbrockModel(LayeredModel):
+class RosenbrockModel(_AnalyticModel):
     """(a - x)^2 + b*(y - x^2)^2 with tensors x (layer 0) and y (layer 1)."""
 
     kind = "rosenbrock"
-    loss_kind = "analytic"
 
     def __init__(self, a=1.0, b=100.0, x0=-1.2, y0=1.0):
         super().__init__()
@@ -280,9 +252,6 @@ class RosenbrockModel(LayeredModel):
         tx = ParamTensor("x", (1,), [float(x0)])
         ty = ParamTensor("y", (1,), [float(y0)])
         self._register([_AnalyticLayer([tx]), _AnalyticLayer([ty])])
-
-    def dummy_batch(self) -> Batch:
-        return Batch(np.zeros((1, 1)), np.zeros((1, 1)))
 
     def _forward(self, batch):
         x = self._tensors[0].data[0]
@@ -299,16 +268,53 @@ class RosenbrockModel(LayeredModel):
             grads["y"] = np.array([2.0 * self.b * (y - x * x)])
         return grads
 
-    def _cost_model(self, batch_size: int) -> CostModel:
-        return CostModel(
-            [CostEntry(t.name, t.layer_index, 1, 0, 1) for t in self._tensors]
-        )
-
 
 class _AnalyticLayer:
     def __init__(self, tensors):
         self.tensors = tensors
-        self.index = 0
+
+
+class _SequentialModel(LayeredModel):
+    """Layers run one after another from the input to the loss head.
+
+    Subclasses check and convert the batch inputs in ``_inputs`` and build
+    their cost model; the layer walk and the cross-entropy loss are shared.
+    """
+
+    loss_kind = "cross_entropy"
+
+    def _forward(self, batch):
+        h = self._inputs(batch)
+        caches = []
+        for li in range(len(self.layers) - 1, -1, -1):
+            h, c = self.layers[li].forward(h)
+            if not np.all(np.isfinite(h)):
+                raise NumericOverflowError(f"non-finite activations at layer {li}", li)
+            caches.append(c)
+        loss, g_logits = self._loss(h, batch)
+        return loss, (caches, g_logits)
+
+    def _loss(self, logits, batch):
+        """Mean cross-entropy over every position of ``logits`` (..., classes)."""
+        flat = logits.reshape(-1, logits.shape[-1])
+        y = np.asarray(batch.targets).reshape(-1).astype(int)
+        rows = np.arange(flat.shape[0])
+        shifted = flat - flat.max(axis=1, keepdims=True)
+        e = np.exp(shifted)
+        z = e.sum(axis=1, keepdims=True)
+        nll = np.log(z[:, 0]) - shifted[rows, y]
+        g = e / z
+        g[rows, y] -= 1.0
+        return float(nll.mean()), (g / flat.shape[0]).reshape(logits.shape)
+
+    def _backward(self, batch, cache, active):
+        caches, g = cache
+        deepest = max(self.tensor(n).layer_index for n in active)
+        grads = {}
+        for li in range(deepest + 1):
+            layer_grads, g = self.layers[li].backward(g, caches[len(self.layers) - 1 - li], active)
+            grads.update(layer_grads)
+        return grads
 
 
 class _DenseLayer:
@@ -323,7 +329,6 @@ class _DenseLayer:
         W = ParamTensor(f"{name}.weight", (fan_in, fan_out), _init_dense(rng, fan_in, fan_out))
         b = ParamTensor(f"{name}.bias", (fan_out,), np.zeros(fan_out))
         self.tensors = [W, b]
-        self.index = 0
 
     def forward(self, x):
         pre = x @ self.tensors[0].view() + self.tensors[1].data
@@ -351,7 +356,7 @@ class _DenseLayer:
         ]
 
 
-class MLPModel(LayeredModel):
+class MLPModel(_SequentialModel):
     """Dense tanh stack; final layer is linear into the loss head."""
 
     kind = "mlp"
@@ -373,41 +378,18 @@ class MLPModel(LayeredModel):
             )
         self._register(forward_layers[::-1])
 
-    def _forward(self, batch):
+    def _inputs(self, batch):
         x = np.asarray(batch.inputs, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.dims[0]:
             raise ConfigurationError(f"mlp expects inputs (batch, {self.dims[0]}), got {x.shape}")
-        caches = []
-        h = x
-        for li in range(len(self.layers) - 1, -1, -1):
-            h, c = self.layers[li].forward(h)
-            _check_finite(h, li, "activations")
-            caches.append(c)
-        loss, g_logits = self._loss(h, batch)
-        return loss, (caches, g_logits)
+        return x
 
     def _loss(self, logits, batch):
-        B = logits.shape[0]
         if self.loss_kind == "cross_entropy":
-            y = np.asarray(batch.targets).reshape(-1).astype(int)
-            shifted = logits - logits.max(axis=1, keepdims=True)
-            logz = np.log(np.exp(shifted).sum(axis=1))
-            nll = logz - shifted[np.arange(B), y]
-            probs = np.exp(shifted) / np.exp(shifted).sum(axis=1, keepdims=True)
-            g = probs
-            g[np.arange(B), y] -= 1.0
-            return float(nll.mean()), g / B
+            return super()._loss(logits, batch)
+        B = logits.shape[0]
         diff = logits - np.asarray(batch.targets, dtype=np.float64).reshape(logits.shape)
         return 0.5 * float((diff * diff).sum()) / B, diff / B
-
-    def _backward(self, batch, cache, active):
-        caches, g = cache
-        deepest = max(self.tensor(n).layer_index for n in active)
-        grads = {}
-        for li in range(deepest + 1):
-            layer_grads, g = self.layers[li].backward(g, caches[len(self.layers) - 1 - li], active)
-            grads.update(layer_grads)
-        return grads
 
     def _cost_model(self, batch_size: int) -> CostModel:
         entries = []
@@ -427,7 +409,6 @@ class _EmbeddingLayer:
         tok = ParamTensor("embed.token", (vocab, d_model), rng.uniform(-scale, scale, (vocab, d_model)))
         pos = ParamTensor("embed.position", (context, d_model), rng.uniform(-scale, scale, (context, d_model)))
         self.tensors = [tok, pos]
-        self.index = 0
 
     def forward(self, tokens):
         T = tokens.shape[1]
@@ -465,7 +446,6 @@ class _HeadLayer:
         self.vocab = vocab
         W = ParamTensor("head.weight", (d_model, vocab), _init_dense(rng, d_model, vocab))
         self.tensors = [W]
-        self.index = 0
 
     def forward(self, x):
         return x @ self.tensors[0].view(), x
@@ -501,7 +481,6 @@ class _AttentionBlock:
             mk("w2", d_ff, d_model),
             ParamTensor(f"{name}.b2", (d_model,), np.zeros(d_model)),
         ]
-        self.index = 0
 
     def forward(self, x):
         Wq, Wk, Wv, Wo, W1, b1, W2, b2 = (t.view() for t in self.tensors)
@@ -557,27 +536,21 @@ class _AttentionBlock:
         # activation propagation: g_t1, g_h(from mlp), g_z, g_a, g_v, g_q, g_k, and into x via Wq/Wk/Wv
         prop = 2 * fc1 + proj + 4 * mix + 3 * proj
         fwd = 4 * proj + 2 * mix + 2 * fc1
-        names = [t.name for t in self.tensors]
-        e = {
-            names[0]: proj, names[1]: proj, names[2]: proj, names[3]: proj,
-            names[4]: fc1, names[5]: batch * T * f, names[6]: fc1, names[7]: batch * T * d,
-        }
-        entries = []
-        for i, t in enumerate(self.tensors):
-            entries.append(
-                CostEntry(t.name, layer_index, e[t.name], prop if i == 0 else 0, fwd if i == 0 else 0)
-            )
-        return entries
+        # weight gradients, in tensor order wq wk wv wo w1 b1 w2 b2
+        grad = (proj, proj, proj, proj, fc1, batch * T * f, fc1, batch * T * d)
+        return [
+            CostEntry(t.name, layer_index, g, prop if i == 0 else 0, fwd if i == 0 else 0)
+            for i, (t, g) in enumerate(zip(self.tensors, grad))
+        ]
 
 
-class TinyAttentionLM(LayeredModel):
+class TinyAttentionLM(_SequentialModel):
     """Character-level next-token model: embedding, attention blocks, head.
 
     Vocabulary is capped at 64 symbols; depth is capped at 4 blocks.
     """
 
     kind = "attention_lm"
-    loss_kind = "cross_entropy"
 
     def __init__(self, vocab_size=64, d_model=16, depth=2, context=16, d_ff=None, seed=0):
         super().__init__()
@@ -597,7 +570,7 @@ class TinyAttentionLM(LayeredModel):
         # output-first: head, blocks in reverse execution order, embedding
         self._register([head] + blocks[::-1] + [embed])
 
-    def _forward(self, batch):
+    def _inputs(self, batch):
         tokens = np.asarray(batch.inputs).astype(int)
         if tokens.ndim != 2 or tokens.shape[1] > self.context:
             raise ConfigurationError(
@@ -605,36 +578,7 @@ class TinyAttentionLM(LayeredModel):
             )
         if tokens.min() < 0 or tokens.max() >= self.vocab_size:
             raise ConfigurationError("token id out of vocabulary range")
-        caches = []
-        h = tokens
-        for li in range(len(self.layers) - 1, -1, -1):
-            h, c = self.layers[li].forward(h)
-            _check_finite(h, li, "activations")
-            caches.append(c)
-        loss, g_logits = self._loss(h, batch)
-        return loss, (caches, g_logits)
-
-    def _loss(self, logits, batch):
-        y = np.asarray(batch.targets).astype(int)
-        B, T, V = logits.shape
-        flat = logits.reshape(-1, V)
-        yf = y.reshape(-1)
-        shifted = flat - flat.max(axis=1, keepdims=True)
-        logz = np.log(np.exp(shifted).sum(axis=1))
-        nll = logz - shifted[np.arange(flat.shape[0]), yf]
-        probs = np.exp(shifted) / np.exp(shifted).sum(axis=1, keepdims=True)
-        g = probs
-        g[np.arange(flat.shape[0]), yf] -= 1.0
-        return float(nll.mean()), (g / flat.shape[0]).reshape(B, T, V)
-
-    def _backward(self, batch, cache, active):
-        caches, g = cache
-        deepest = max(self.tensor(n).layer_index for n in active)
-        grads = {}
-        for li in range(deepest + 1):
-            layer_grads, g = self.layers[li].backward(g, caches[len(self.layers) - 1 - li], active)
-            grads.update(layer_grads)
-        return grads
+        return tokens
 
     def _cost_model(self, batch_size: int) -> CostModel:
         T = self.context

@@ -88,11 +88,8 @@ class FoUpdater:
         self.state: dict[str, tuple[np.ndarray, np.ndarray]] = {}
         self.count = 0
 
+    @np.errstate(over="ignore", invalid="ignore")
     def apply(self, tensors, grads) -> None:
-        with np.errstate(over="ignore", invalid="ignore"):
-            self._apply(tensors, grads)
-
-    def _apply(self, tensors, grads) -> None:
         cfg = self.cfg
         if cfg.fo_rule == "sgd":
             for t in tensors:
@@ -145,8 +142,6 @@ def _noise_fn(zo_arrays, seed, u_override):
 
 
 def _grad_norm(grads) -> float:
-    if not grads:
-        return 0.0
     with np.errstate(over="ignore", invalid="ignore"):
         return float(np.sqrt(sum(float(g @ g) for g in grads.values())))
 
@@ -154,6 +149,12 @@ def _grad_norm(grads) -> float:
 def _record(step, lfo, lzo, ltotal, gnorm, znorm, bwd, fwd, t0, diverged=False):
     return StepRecord(step, lfo, lzo, ltotal, gnorm, znorm, int(bwd), int(fwd),
                       time.perf_counter_ns() - t0, diverged)
+
+
+def _diverged(step, model, fwd_before, t0, lfo=float("nan"), lzo=0.0):
+    """The record of a step aborted by a non-finite forward pass."""
+    return _record(step, lfo, lzo, float("nan"), 0.0, 0.0, 0,
+                   model.tally.forward - fwd_before, t0, diverged=True)
 
 
 def hizfo_step(
@@ -177,8 +178,7 @@ def hizfo_step(
     try:
         loss_clean, cache_clean = model.forward_with_cache(batch)
     except NumericOverflowError:
-        return _record(step_index, float("nan"), 0.0, float("nan"), 0.0, 0.0,
-                       0, model.tally.forward - fwd_before, t0, diverged=True)
+        return _diverged(step_index, model, fwd_before, t0)
     grads_clean = model.backward_from_cache(batch, cache_clean, fo_names)
 
     base = step_seed(cfg.master_seed, step_index)
@@ -195,8 +195,7 @@ def hizfo_step(
             loss_pert, cache_pert = model.forward_with_cache(batch)
         except NumericOverflowError:
             noise(-eps)  # put the ZO parameters back before aborting
-            return _record(step_index, loss_clean, float("nan"), float("nan"),
-                           0.0, 0.0, 0, model.tally.forward - fwd_before, t0, diverged=True)
+            return _diverged(step_index, model, fwd_before, t0, loss_clean, float("nan"))
         noise(-eps)
         if cfg.alpha != 0.0 and fo_names:
             g = model.backward_from_cache(batch, cache_pert, fo_names)
@@ -239,19 +238,8 @@ def baseline_step_full_fo(
     """Plain full backprop on every tensor; ZO fields stay zero."""
     t0 = time.perf_counter_ns()
     tensors = model.tensors()
-    names = [t.name for t in tensors]
-    updater = fo_updater or FoUpdater(cfg)
-    fwd_before = model.tally.forward
-    try:
-        loss, cache = model.forward_with_cache(batch)
-    except NumericOverflowError:
-        return _record(step_index, float("nan"), 0.0, float("nan"), 0.0, 0.0,
-                       0, model.tally.forward - fwd_before, t0, diverged=True)
-    grads = model.backward_from_cache(batch, cache, names)
-    updater.apply(tensors, grads)
-    cost = model.cost_model(batch.size).total_backward_flops
-    return _record(step_index, loss, 0.0, loss + cfg.alpha * 0.0, _grad_norm(grads),
-                   0.0, cost, model.tally.forward - fwd_before, t0)
+    bwd = model.cost_model(batch.size).total_backward_flops
+    return _fo_step(model, batch, cfg, step_index, fo_updater, tensors, bwd, t0)
 
 
 def baseline_step_frozen_subset(
@@ -260,20 +248,23 @@ def baseline_step_frozen_subset(
 ) -> StepRecord:
     """First-order updates on the plan's FO set; everything else untouched."""
     t0 = time.perf_counter_ns()
-    fo_names = list(plan.fo_set)
-    fo = [model.tensor(n) for n in fo_names]
+    tensors = [model.tensor(n) for n in plan.fo_set]
+    bwd = model.cost_model(batch.size).subset_backward_flops(plan.fo_set)
+    return _fo_step(model, batch, cfg, step_index, fo_updater, tensors, bwd, t0)
+
+
+def _fo_step(model, batch, cfg, step_index, fo_updater, tensors, bwd, t0) -> StepRecord:
+    """First-order update of `tensors`, whose truncated backward costs `bwd`."""
     updater = fo_updater or FoUpdater(cfg)
     fwd_before = model.tally.forward
     try:
         loss, cache = model.forward_with_cache(batch)
     except NumericOverflowError:
-        return _record(step_index, float("nan"), 0.0, float("nan"), 0.0, 0.0,
-                       0, model.tally.forward - fwd_before, t0, diverged=True)
-    grads = model.backward_from_cache(batch, cache, fo_names)
-    updater.apply(fo, grads)
-    cost = model.cost_model(batch.size).subset_backward_flops(fo_names)
+        return _diverged(step_index, model, fwd_before, t0)
+    grads = model.backward_from_cache(batch, cache, [t.name for t in tensors])
+    updater.apply(tensors, grads)
     return _record(step_index, loss, 0.0, loss + cfg.alpha * 0.0, _grad_norm(grads),
-                   0.0, cost, model.tally.forward - fwd_before, t0)
+                   0.0, bwd, model.tally.forward - fwd_before, t0)
 
 
 def baseline_step_mezo(
@@ -297,8 +288,7 @@ def baseline_step_mezo(
         noise(-2 * eps)
         loss_minus = model.forward(batch)
     except NumericOverflowError:
-        return _record(step_index, float("nan"), 0.0, float("nan"), 0.0, 0.0,
-                       0, model.tally.forward - fwd_before, t0, diverged=True)
+        return _diverged(step_index, model, fwd_before, t0)
     noise(+eps)  # restore
     coef = (loss_plus - loss_minus) / (2 * eps)
     sq = noise(-cfg.eta_zo * coef)
@@ -358,6 +348,14 @@ def evaluate(model: LayeredModel, batches) -> float:
     return float(np.mean([model.forward(b) for b in batches]))
 
 
+def _evaluate_or_none(model: LayeredModel, batches) -> float | None:
+    """The eval loss, or None when a forward pass overflows: the run diverged."""
+    try:
+        return evaluate(model, batches)
+    except NumericOverflowError:
+        return None
+
+
 def train(
     model: LayeredModel,
     data,
@@ -366,7 +364,8 @@ def train(
     algorithm: str = "hizfo",
     eval_batches=None,
 ) -> RunReport:
-    """Run one deterministic optimization loop and collect step records."""
+    """Run one deterministic optimization loop and collect step records; a
+    forward pass that overflows, in a step or an eval, ends the run as diverged."""
     if algorithm not in ALGORITHMS:
         raise ConfigurationError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
     batches = list(data)
@@ -381,41 +380,43 @@ def train(
     if cfg.epochs is not None:
         max_steps = min(max_steps, cfg.epochs * len(batches))
     updater = FoUpdater(cfg)
+    # the step functions are looked up per call, so wrappers installed on
+    # this module's attributes see every step
+    step_fn = {
+        "hizfo": lambda b, s: hizfo_step(model, b, cfg, s, fo_updater=updater),
+        "full_fo": lambda b, s: baseline_step_full_fo(model, b, cfg, s, fo_updater=updater),
+        "frozen_subset": lambda b, s: baseline_step_frozen_subset(model, b, cfg, plan, s, fo_updater=updater),
+        "mezo": lambda b, s: baseline_step_mezo(model, b, cfg, s),
+    }[algorithm]
     records: list[StepRecord] = []
     eval_history: list[tuple[int, float]] = []
     diverged = False
     t_start = time.perf_counter_ns()
 
     for step in range(max_steps):
-        batch = batches[step % len(batches)]
-        if algorithm == "hizfo":
-            rec = hizfo_step(model, batch, cfg, step, fo_updater=updater)
-        elif algorithm == "full_fo":
-            rec = baseline_step_full_fo(model, batch, cfg, step, fo_updater=updater)
-        elif algorithm == "frozen_subset":
-            rec = baseline_step_frozen_subset(model, batch, cfg, plan, step, fo_updater=updater)
-        else:
-            rec = baseline_step_mezo(model, batch, cfg, step)
+        rec = step_fn(batches[step % len(batches)], step)
         records.append(rec)
         if rec.diverged:
             diverged = True
             break
         if eval_batches and cfg.eval_interval > 0 and (step + 1) % cfg.eval_interval == 0:
-            eval_history.append((step + 1, evaluate(model, eval_batches)))
+            loss = _evaluate_or_none(model, eval_batches)
+            if loss is None:
+                diverged = True
+                break
+            eval_history.append((step + 1, loss))
 
     final_eval = None
-    if eval_batches is not None and not diverged:
-        final_eval = evaluate(model, eval_batches)
-        if not eval_history or eval_history[-1][0] != len(records):
+    if eval_batches is not None:
+        final_eval = None if diverged else _evaluate_or_none(model, eval_batches)
+        if final_eval is None:
+            diverged = True
+            final_eval = float("inf")
+        elif not eval_history or eval_history[-1][0] != len(records):
             eval_history.append((len(records), final_eval))
-    elif eval_batches is not None and diverged:
-        final_eval = float("inf")
 
-    tape_params = sum(t.size for t in model.tensors_with_role(Role.FO))
-    if algorithm == "full_fo":
-        tape_params = sum(t.size for t in model.tensors())
-    elif algorithm == "mezo":
-        tape_params = 0
+    # tensors whose activations the gradient tape must keep
+    taped = {"full_fo": model.tensors(), "mezo": []}.get(algorithm, model.tensors_with_role(Role.FO))
     return RunReport(
         algorithm=algorithm,
         steps_run=len(records),
@@ -427,7 +428,7 @@ def train(
         total_forward_flops=int(sum(r.forward_flops for r in records)),
         wall_total_ns=time.perf_counter_ns() - t_start,
         memory_proxy={
-            "tape_params": int(tape_params),
+            "tape_params": int(sum(t.size for t in taped)),
             "optimizer_state_params": int(updater.state_size()),
         },
     )

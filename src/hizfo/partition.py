@@ -6,12 +6,15 @@ where the cost of a subset charges each selected tensor's weight-gradient
 FLOPs plus activation propagation through every layer down to and
 including the deepest selected one.
 
-The DP runs on a quantized budget axis of ``buckets`` cells (transition
-costs rounded up, so a reported plan never actually exceeds the budget)
-and scans every candidate "nearest selected predecessor" per cell, which
-is what makes inter-tensor propagation costs exact. Time complexity is
-O(N^2 * buckets). Tensors with negative importance are never selected:
-they can only hurt a maximization.
+With the deepest selected tensor fixed, the propagation cost is fixed too,
+and the rest is a 0/1 knapsack over the gradient costs of the tensors
+before it. The DP keeps one running knapsack while it walks the tensors
+output-first, a knapsack over gradient costs per deepest tensor, in
+O(N * buckets) time on a budget axis of ``buckets`` cells. A tensor's
+gradient cost and the prefix propagation cost down to the deepest tensor
+are rounded up to whole cells separately, so a reported plan never exceeds
+the budget. At equal importance the cheaper plan wins. Tensors with
+importance <= 0 are never selected: they can only hurt a maximization.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from .models import CostModel, LayeredModel
 from .tensors import ConfigurationError, Role
 
 _TOL = 1e-9  # forgives float noise when costs are exact bucket multiples
+_TIE = 1e-15  # importance sums closer than this count as equal
 
 
 @dataclass
@@ -78,21 +82,6 @@ def _check_keys(profile: ImportanceProfile, cost: CostModel):
     return names
 
 
-def _transition_costs(cost: CostModel) -> np.ndarray:
-    """delta[k, p+1]: cost of selecting entry k when the previous selected
-    entry is p (p = -1 meaning none): grad_flops[k] plus propagation for
-    entries p+1 .. k."""
-    grad = np.array([e.grad_flops for e in cost.entries], dtype=np.float64)
-    prop = np.array([e.prop_flops for e in cost.entries], dtype=np.float64)
-    cum = np.concatenate([[0.0], np.cumsum(prop)])  # cum[i] = sum(prop[:i])
-    n = len(grad)
-    delta = np.full((n, n + 1), np.inf)  # inf marks p >= k (not a predecessor)
-    for k in range(n):
-        for p in range(-1, k):
-            delta[k, p + 1] = grad[k] + (cum[k + 1] - cum[p + 1])
-    return delta
-
-
 def solve_dp(profile: ImportanceProfile, cost: CostModel, rho: float, buckets: int = 10_000) -> PartitionPlan:
     """Importance-maximizing selection under a quantized FLOPs budget."""
     if not (0.0 < rho <= 1.0):
@@ -102,9 +91,7 @@ def solve_dp(profile: ImportanceProfile, cost: CostModel, rho: float, buckets: i
     names = _check_keys(profile, cost)
     n = len(names)
     total = cost.total_backward_flops
-    budget = rho * total
     scores = np.array([profile.scores[name] for name in names])
-    delta = _transition_costs(cost)
 
     if rho >= 1.0:
         # the budget equals the full backward cost, which no subset exceeds,
@@ -112,9 +99,10 @@ def solve_dp(profile: ImportanceProfile, cost: CostModel, rho: float, buckets: i
         fo = [names[k] for k in range(n) if scores[k] > 0.0]
         return _finish(profile, cost, rho, buckets, fo, warning=None)
 
-    finite = np.isfinite(delta)
-    integral = bool(np.all(delta[finite] == np.round(delta[finite])))
-    if integral and total <= buckets:
+    grad = np.array([e.grad_flops for e in cost.entries], dtype=np.float64)
+    prop = np.array([e.prop_flops for e in cost.entries], dtype=np.float64)
+    cumprop = np.cumsum(prop)  # cumprop[k]: propagation down to and including entry k
+    if np.all(grad == np.round(grad)) and np.all(prop == np.round(prop)) and total <= buckets:
         # integer FLOPs that already fit on the budget axis: run the DP on
         # unit-cost cells, which is exact (rounding up is a no-op)
         bucket = 1.0
@@ -122,55 +110,43 @@ def solve_dp(profile: ImportanceProfile, cost: CostModel, rho: float, buckets: i
     else:
         bucket = total / buckets
         qbudget = int(np.floor(rho * buckets + _TOL))
-    qdelta = np.full(delta.shape, np.iinfo(np.int64).max // 2, dtype=np.int64)
-    qdelta[finite] = np.ceil(delta[finite] / bucket - _TOL).astype(np.int64)  # round costs up
 
-    selectable = scores > 0.0
-    # value[k, t]: best importance of a selection whose deepest entry is k
-    # at exactly t budget cells; parent[k, t]: the predecessor entry (+1, 0 = none)
-    NEG = -np.inf
-    value = np.full((n, qbudget + 1), NEG)
-    parent = np.zeros((n, qbudget + 1), dtype=np.int32)
-    for k in range(n):
-        if not selectable[k]:
-            continue
-        # predecessor "none" is column 0; predecessor p contributes value[p]
-        cands = np.full((k + 1, qbudget + 1), NEG)
-        q0 = qdelta[k, 0]
-        if q0 <= qbudget:
-            cands[0, q0] = 0.0
-        for p in range(k):
-            if not selectable[p]:
-                continue
-            q = qdelta[k, p + 1]
-            if q <= qbudget:
-                cands[p + 1, q:] = value[p, : qbudget + 1 - q]
-        best = cands.max(axis=0)
-        value[k] = best + scores[k]
-        value[k, best == NEG] = NEG
-        parent[k] = cands.argmax(axis=0)
+    def cells(flops):  # round costs up, so a reported plan never exceeds the budget
+        return np.ceil(flops / bucket - _TOL).astype(np.int64)
 
-    best_importance, best_state = 0.0, None
-    for t in range(qbudget + 1):
-        for k in range(n):
-            if value[k, t] > best_importance + 1e-15:
-                best_importance = value[k, t]
-                best_state = (k, t)
+    qgrad, qprop = cells(grad), cells(cumprop)
+    # knap[c]: best importance of a set of selectable entries before k whose
+    # grad costs fill exactly c cells; take[j, c]: entry j is in that set
+    knap = np.full(qbudget + 1, -np.inf)
+    knap[0] = 0.0
+    take = np.zeros((n, qbudget + 1), dtype=bool)
+    found = []  # (cells, k, c, importance): best set whose deepest entry is k
+    for k in np.flatnonzero(scores > 0.0):
+        room = qbudget - qprop[k] - qgrad[k]
+        if room >= 0:
+            values = knap[: room + 1] + scores[k]
+            top = values.max()
+            c = int(np.argmax(values >= top - _TIE))  # the cheapest best set
+            found.append((c + qprop[k] + qgrad[k], k, c, top))
+        w = qgrad[k]
+        if w <= qbudget:
+            added = knap[: qbudget + 1 - w] + scores[k]
+            take[k, w:] = added > knap[w:]
+            knap[w:] = np.where(take[k, w:], added, knap[w:])
 
     fo: list[str] = []
-    state = best_state
-    while state is not None:
-        k, t = state
+    if found:
+        top = max(f[3] for f in found)
+        _, k, c, _ = min(f for f in found if f[3] >= top - _TIE)  # equal importance: cheapest
         fo.append(names[k])
-        p = int(parent[k, t]) - 1
-        state = None if p < 0 else (p, t - int(qdelta[k, p + 1]))
-    fo.reverse()
+        for j in range(k - 1, -1, -1):
+            if take[j, c]:
+                fo.append(names[j])
+                c -= qgrad[j]
 
     warning = None
-    if not fo:
-        min_single = int(qdelta[:, 0].min()) if n else qbudget + 1
-        if min_single > qbudget:
-            warning = "budget_below_min_cost"
+    if not fo and not np.any(cells(grad + cumprop) <= qbudget):
+        warning = "budget_below_min_cost"
     return _finish(profile, cost, rho, buckets, fo, warning)
 
 

@@ -26,6 +26,11 @@ class NumericOverflowError(FloatingPointError):
         super().__init__(message)
         self.layer_index = layer_index
 
+    def __reduce__(self):
+        # pickle re-calls __init__, which needs layer_index as well as the
+        # message; sweep workers send this exception back to their parent
+        return type(self), (str(self), self.layer_index)
+
 
 class ParamTensor:
     """A named flat array of float64 parameters with a partition role.

@@ -73,18 +73,13 @@ class QuarticObjective:
         return 4.0 * theta**3
 
 
-def zo_forward_samples(objective, theta, mu, n_samples, rng, d_zo=None):
-    """Draw forward-difference estimates over the first d_zo coordinates.
-
-    Returns (g_hat, u): arrays of shape (n_samples, d_zo).
-    """
-    d = theta.size
-    d_zo = d if d_zo is None else int(d_zo)
-    u = rng.standard_normal((n_samples, d_zo))
-    pert = np.tile(theta, (n_samples, 1))
-    pert[:, :d_zo] += mu * u
+def forward_differences(objective, theta, mu, u):
+    """One forward-difference estimate g_hat per row of ``u``, which perturbs
+    the first ``u.shape[1]`` coordinates; shape (rows, u.shape[1])."""
+    pert = np.tile(theta, (u.shape[0], 1))
+    pert[:, : u.shape[1]] += mu * u
     diffs = (objective.value_many(pert) - objective.value(theta)) / mu
-    return diffs[:, None] * u, u
+    return diffs[:, None] * u
 
 
 def estimator_mean(objective, theta, mu, n_samples, seed=0, d_zo=None,
@@ -105,12 +100,9 @@ def estimator_mean(objective, theta, mu, n_samples, seed=0, d_zo=None,
         half = max(n_samples // 2, 1)
         u = rng.standard_normal((half, d_zo))
         u = np.concatenate([u, -u])
-        pert = np.tile(theta, (u.shape[0], 1))
-        pert[:, :d_zo] += mu * u
-        diffs = (objective.value_many(pert) - objective.value(theta)) / mu
-        ghat = diffs[:, None] * u
     else:
-        ghat, u = zo_forward_samples(objective, theta, mu, n_samples, rng, d_zo)
+        u = rng.standard_normal((n_samples, d_zo))
+    ghat = forward_differences(objective, theta, mu, u)
     if not control_variate:
         return ghat.mean(axis=0)
     resid = ghat - (u @ g)[:, None] * u
@@ -126,7 +118,8 @@ def estimator_bias_sq(objective, theta, mu, n_samples, seed=0, d_zo=None, antith
 
 def estimator_second_moment(objective, theta, mu, n_samples, seed=0, d_zo=None):
     rng = np.random.default_rng(seed)
-    ghat, _ = zo_forward_samples(objective, theta, mu, n_samples, rng, d_zo)
+    u = rng.standard_normal((n_samples, theta.size if d_zo is None else int(d_zo)))
+    ghat = forward_differences(objective, theta, mu, u)
     return float(np.mean(np.sum(ghat * ghat, axis=1)))
 
 
@@ -248,11 +241,7 @@ def descent_inequality_check(
         theta = rng.standard_normal(d) * rng.uniform(0.5, 3.0)
         g = obj.grad(theta)
         f0 = obj.value(theta)
-        u = rng.standard_normal((n_probes, spec.d_zo))
-        pert = np.tile(theta, (n_probes, 1))
-        pert[:, : spec.d_zo] += mu * u
-        diffs = (obj.value_many(pert) - f0) / mu
-        ghat = diffs[:, None] * u
+        ghat = forward_differences(obj, theta, mu, rng.standard_normal((n_probes, spec.d_zo)))
         v = np.tile(np.concatenate([np.zeros(spec.d_zo), g[spec.d_zo :]]), (n_probes, 1))
         v[:, : spec.d_zo] = spec.alpha * ghat
         v[:, spec.d_zo :] += spec.sigma_fo * rng.standard_normal((n_probes, spec.d_fo))

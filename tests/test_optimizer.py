@@ -17,7 +17,7 @@ from hizfo.optimizer import (
     write_step_csv,
 )
 from hizfo.partition import PartitionPlan, apply_plan
-from hizfo.tensors import ConfigurationError, Role
+from hizfo.tensors import Batch, ConfigurationError, NumericOverflowError, Role
 
 
 def one_d_quadratic(theta=1.0, role=Role.ZO):
@@ -309,6 +309,20 @@ class TestTrain:
                        eval_batches=[m.dummy_batch()])
         assert report.diverged and report.steps_run < 200
         assert report.final_eval_loss == float("inf")
+
+    @pytest.mark.parametrize("eval_interval", [1, 0])
+    def test_overflowing_eval_reports_divergence(self, eval_interval):
+        # the training step is fine, but the eval forward overflows (the
+        # periodic eval with interval 1, the final one with interval 0)
+        m = MLPModel(dims=(2, 2), loss="mse", seed=0)
+        batch = Batch(np.full((4, 2), 1e308), np.zeros((4, 2)))
+        with pytest.raises(NumericOverflowError):
+            m.forward(batch)
+        cfg = OptimizerConfig(max_steps=1, eval_interval=eval_interval, **CFG)
+        train_batch = Batch(np.ones((4, 2)), np.zeros((4, 2)))
+        report = train(m, [train_batch], cfg, None, "full_fo", eval_batches=[batch])
+        assert report.steps_run == 1 and not report.records[0].diverged
+        assert report.diverged and report.final_eval_loss == float("inf")
 
     def test_unknown_algorithm_rejected(self):
         m, plan = mlp_with_split()

@@ -3,9 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from hizfo.datasets import two_moons_batches
+from hizfo.datasets import CharCorpus, two_moons_batches
 from hizfo.importance import ImportanceProfile, estimate_importance
-from hizfo.models import CostEntry, CostModel, MLPModel, backward_truncated, flops_profile
+from hizfo.models import CostEntry, CostModel, MLPModel, TinyAttentionLM, backward_truncated, flops_profile
 from hizfo.partition import (
     PartitionPlan,
     apply_plan,
@@ -94,6 +94,28 @@ class TestSolveDp:
             plan = solve_dp(prof, cost, rho, buckets=buckets)
             assert plan.consumed_flops <= plan.budget_flops + cost.total_backward_flops / buckets + 1e-9
 
+    def test_equal_importance_cheaper_set_wins(self):
+        # {t0} and {t1, t2} tie across deepest tensors; {t0, t3} and
+        # {t1, t2, t3} tie under the same deepest tensor t3
+        prof = profile_of({"t0": 0.5, "t1": 0.25, "t2": 0.25})
+        cost = CostModel([CostEntry("t0", 0, 10, 0, 0), CostEntry("t1", 1, 2, 0, 0), CostEntry("t2", 2, 2, 0, 0)])
+        plan = solve_dp(prof, cost, 0.75, buckets=100)
+        assert plan.fo_set == brute_force_select(prof, cost, 0.75).fo_set == ["t1", "t2"]
+        prof = profile_of({"t0": 0.5, "t1": 0.25, "t2": 0.25, "t3": 0.125})
+        cost = CostModel([CostEntry("t0", 0, 10, 0, 0), CostEntry("t1", 1, 4, 0, 0),
+                          CostEntry("t2", 2, 4, 0, 0), CostEntry("t3", 3, 1, 0, 0)])
+        plan = solve_dp(prof, cost, 12 / 19, buckets=100)
+        assert plan.fo_set == brute_force_select(prof, cost, 12 / 19).fo_set == ["t1", "t2", "t3"]
+        assert plan.consumed_flops == 9
+
+    def test_only_affordable_tensor_unimportant_gives_no_warning(self):
+        # the budget fits t0, so it is not below the minimum cost; t0 is
+        # simply not worth selecting
+        prof = profile_of({"t0": -0.5, "t1": 0.9})
+        cost = CostModel([CostEntry("t0", 0, 1, 0, 0), CostEntry("t1", 1, 50, 0, 0)])
+        plan = solve_dp(prof, cost, 0.1, buckets=100)
+        assert plan.fo_set == [] and plan.warning is None
+
     def test_negative_importance_never_selected(self):
         prof = profile_of({"t0": 0.5, "t1": -0.2, "t2": 0.3})
         cost = CostModel([CostEntry(f"t{i}", i, 1, 0, 0) for i in range(3)])
@@ -123,6 +145,31 @@ class TestSolveDp:
         cost = CostModel([CostEntry("other", 0, 1, 0, 0)])
         with pytest.raises(ConfigurationError):
             solve_dp(prof, cost, 0.5, buckets=100)
+
+
+class TestGoldenPlans:
+    """Plans of real cost models. The values come from an independent DP that
+    scans every nearest selected predecessor (O(N^2 * buckets)), so any
+    change to the planner that moves a real plan fails here."""
+
+    def test_attention_lm_depth4(self):
+        rng = np.random.default_rng(5)
+        words = ("the", "cat", "sat", "on", "a", "mat", "dog", "ran")
+        corpus = CharCorpus(" ".join(rng.choice(words, size=400)).encode(), 16)
+        model = TinyAttentionLM(vocab_size=corpus.vocab.size, d_model=16, depth=4, context=16, seed=3)
+        batches = corpus.batches(2, 16, seed=4)
+        prof = estimate_importance(model, batches, warmup_steps=3, warmup_lr=1e-3)
+        plan = solve_dp(prof, flops_profile(model, 16), 0.3, buckets=100_000)
+        assert plan.fo_set == ["head.weight", "block3.b1", "block3.b2", "block2.b1", "block2.b2"]
+        assert plan.consumed_flops == 4464640 and plan.warning is None
+
+    def test_mlp_two_moons(self):
+        model = MLPModel(dims=(2, 16, 2), seed=1)
+        batches = two_moons_batches(2, 64, noise=0.2, seed=2)
+        prof = estimate_importance(model, batches, warmup_steps=5, warmup_lr=1e-3)
+        plan = solve_dp(prof, flops_profile(model, 64), 0.6, buckets=10_000)
+        assert plan.fo_set == ["layer0.weight", "layer0.bias"]
+        assert plan.consumed_flops == 8320 and plan.warning is None
 
 
 class TestBruteForce:

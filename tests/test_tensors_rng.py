@@ -1,3 +1,4 @@
+import pickle
 import struct
 
 import numpy as np
@@ -7,6 +8,7 @@ from hizfo.rng import add_scaled_noise, noise_generator, regenerate_noise, split
 from hizfo.tensors import (
     Batch,
     ConfigurationError,
+    NumericOverflowError,
     ParamTensor,
     Role,
     load_checkpoint,
@@ -82,6 +84,14 @@ class TestParamTensor:
     def test_batch_size_mismatch(self):
         with pytest.raises(ConfigurationError):
             Batch(np.zeros((3, 2)), np.zeros(4))
+
+
+class TestNumericOverflowError:
+    def test_pickle_roundtrip(self):
+        # sweep workers hand the exception back to their parent through pickle
+        e = pickle.loads(pickle.dumps(NumericOverflowError("non-finite activations at layer 2", 2)))
+        assert type(e) is NumericOverflowError
+        assert str(e) == "non-finite activations at layer 2" and e.layer_index == 2
 
 
 class TestCheckpoint:
