@@ -30,7 +30,7 @@ from .importance import estimate_importance
 from .models import flops_profile
 from .optimizer import train, write_step_csv
 from .partition import full_fo_plan, solve_dp
-from .tensors import ConfigurationError
+from .tensors import ConfigurationError, NumericOverflowError
 from .verify import verify_all
 
 SWEEP_AXES = ("rho", "r", "alpha")
@@ -39,22 +39,34 @@ SWEEP_SEEDS = 5
 
 def _profile(cfg: ExperimentConfig):
     model = build_model(cfg)
-    train_batches, _ = build_data(cfg, model)
+    train_batches, eval_batches = build_data(cfg, model)
     steps, lr = cfg.warmup()
     profile = estimate_importance(model, train_batches, warmup_steps=steps, warmup_lr=lr)
     cost = flops_profile(model, cfg.get("task", "batch_size"))
-    return model, train_batches, profile, cost
+    return model, train_batches, eval_batches, profile, cost
+
+
+def _solve(cfg: ExperimentConfig, profile, cost):
+    if cfg.algorithm == "full_fo":
+        return full_fo_plan(profile, cost)
+    return solve_dp(profile, cost, cfg.rho, cfg.buckets)
 
 
 def _plan(cfg: ExperimentConfig):
-    model, batches, profile, cost = _profile(cfg)
-    if cfg.algorithm == "full_fo":
-        return model, batches, profile, cost, full_fo_plan(profile, cost)
-    return model, batches, profile, cost, solve_dp(profile, cost, cfg.rho, cfg.buckets)
+    model, batches, _, profile, cost = _profile(cfg)
+    return model, batches, profile, cost, _solve(cfg, profile, cost)
+
+
+def _run(cfg: ExperimentConfig):
+    """Profile, plan and train one configured run: (plan, report)."""
+    model, batches, eval_batches, profile, cost = _profile(cfg)
+    plan = _solve(cfg, profile, cost)
+    opt = build_optimizer_config(cfg)
+    return plan, train(model, batches, opt, plan, cfg.algorithm, eval_batches=eval_batches)
 
 
 def cmd_profile(cfg: ExperimentConfig, out: Path) -> int:
-    _, _, profile, cost = _profile(cfg)
+    _, _, _, profile, cost = _profile(cfg)
     out.mkdir(parents=True, exist_ok=True)
     profile.save_csv(out / "importance.csv")
     with open(out / "cost_model.json", "w") as f:
@@ -65,7 +77,7 @@ def cmd_profile(cfg: ExperimentConfig, out: Path) -> int:
 
 
 def cmd_partition(cfg: ExperimentConfig, out: Path) -> int:
-    _, _, _, _, plan = _plan(cfg)
+    plan = _plan(cfg)[-1]
     out.mkdir(parents=True, exist_ok=True)
     plan.save_json(out / "plan.json")
     msg = f"wrote {out / 'plan.json'} (|FO|={len(plan.fo_set)}, |ZO|={len(plan.zo_set)})"
@@ -76,10 +88,7 @@ def cmd_partition(cfg: ExperimentConfig, out: Path) -> int:
 
 
 def cmd_train(cfg: ExperimentConfig, out: Path) -> int:
-    model, batches, _, _, plan = _plan(cfg)
-    _, eval_batches = build_data(cfg, model)
-    opt = build_optimizer_config(cfg)
-    report = train(model, batches, opt, plan, cfg.algorithm, eval_batches=eval_batches)
+    plan, report = _run(cfg)
     out.mkdir(parents=True, exist_ok=True)
     plan.save_json(out / "plan.json")
     report.save_json(out / "report.json")
@@ -109,10 +118,7 @@ def _sweep_worker(args):
         cfg.set("optimizer", "eta_zo", value * cfg.get("optimizer", "eta_fo"))
     elif axis == "alpha":
         cfg.set("optimizer", "alpha", value)
-    model, batches, _, _, plan = _plan(cfg)
-    _, eval_batches = build_data(cfg, model)
-    opt = build_optimizer_config(cfg)
-    report = train(model, batches, opt, plan, cfg.algorithm, eval_batches=eval_batches)
+    _, report = _run(cfg)
     return {
         "axis": axis,
         "value": value,
@@ -223,6 +229,10 @@ def main(argv=None) -> int:
     except (ConfigurationError, FileNotFoundError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 1
+    except NumericOverflowError as e:
+        # an overflow outside the training loop, e.g. in the importance warm-up
+        print(f"diverged: {e}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -168,15 +168,12 @@ def build_model(cfg: ExperimentConfig) -> LayeredModel:
     kind = cfg.get("model", "kind")
     seed = cfg.get("model", "seed")
     if kind == "quadratic":
-        blocks = []
-        for part in cfg.get("model", "blocks").split(","):
-            dim, curv, target = part.strip().split(":")
-            blocks.append((int(dim), float(curv), float(target)))
+        blocks = _model_list(cfg, "blocks", _block, skip_empty=False)
         return make_model("quadratic", seed=seed, blocks=tuple(blocks))
     if kind == "rosenbrock":
         return make_model("rosenbrock")
     if kind == "mlp":
-        hidden = [int(h) for h in cfg.get("model", "hidden_dims").split(",") if h.strip()]
+        hidden = _model_list(cfg, "hidden_dims", int, skip_empty=True)
         dims = [cfg.get("model", "input_dim"), *hidden, cfg.get("model", "output_dim")]
         return make_model("mlp", seed=seed, dims=tuple(dims), loss=cfg.get("model", "loss"))
     if kind == "attention_lm":
@@ -190,6 +187,20 @@ def build_model(cfg: ExperimentConfig) -> LayeredModel:
             context=cfg.get("model", "context"),
         )
     raise ConfigurationError(f"unknown model kind {kind!r}")
+
+
+def _block(part: str) -> tuple[int, float, float]:
+    dim, curv, target = part.split(":")
+    return int(dim), float(curv), float(target)
+
+
+def _model_list(cfg: ExperimentConfig, key: str, convert, skip_empty: bool) -> list:
+    """The comma-separated [model] ``key``, each part converted."""
+    raw = cfg.get("model", key)
+    try:
+        return [convert(p.strip()) for p in raw.split(",") if p.strip() or not skip_empty]
+    except ValueError as e:
+        raise ConfigurationError(f"bad value for [model] {key}: {raw!r}") from e
 
 
 def _corpus(cfg: ExperimentConfig) -> CharCorpus:

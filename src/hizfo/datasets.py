@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from collections import Counter
-
 import numpy as np
 
 from .tensors import Batch, ConfigurationError
@@ -40,14 +38,17 @@ class ByteVocab:
     MAX_SIZE = 64
 
     def __init__(self, data: bytes, max_size: int = MAX_SIZE):
-        counts = Counter(data)
-        keep = [b for b, _ in sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))[: max_size - 1]]
-        self.byte_of_id = {i + 1: b for i, b in enumerate(sorted(keep))}
-        self.id_of_byte = {b: i for i, b in self.byte_of_id.items()}
-        self.size = len(self.byte_of_id) + 1  # +1 for OOV id 0
+        counts = np.bincount(np.frombuffer(data, dtype=np.uint8), minlength=256)
+        present = np.flatnonzero(counts)
+        # most frequent first; the stable sort breaks ties by byte value
+        keep = np.sort(present[np.argsort(-counts[present], kind="stable")][: max_size - 1])
+        # ids in byte order from 1; every other byte maps to OOV
+        self.id_table = np.full(256, OOV, dtype=np.int64)
+        self.id_table[keep] = np.arange(1, keep.size + 1)
+        self.size = keep.size + 1
 
     def encode(self, data: bytes) -> np.ndarray:
-        return np.array([self.id_of_byte.get(b, OOV) for b in data], dtype=np.int64)
+        return self.id_table[np.frombuffer(data, dtype=np.uint8)]
 
 
 class CharCorpus:

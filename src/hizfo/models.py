@@ -112,7 +112,6 @@ class LayeredModel:
 
     def __init__(self):
         self.tally = FlopsTally()
-        self._tensors: list[ParamTensor] = []
         self._cost_cache: dict[int, CostModel] = {}
 
     def _register(self, layers_output_first):
@@ -122,15 +121,16 @@ class LayeredModel:
             for t in layer.tensors:
                 t.layer_index = i
                 self._tensors.append(t)
+        self._by_name = {t.name: t for t in self._tensors}
 
     def tensors(self) -> list[ParamTensor]:
         return self._tensors
 
     def tensor(self, name: str) -> ParamTensor:
-        for t in self._tensors:
-            if t.name == name:
-                return t
-        raise ConfigurationError(f"unknown tensor {name!r}")
+        try:
+            return self._by_name[name]
+        except KeyError:
+            raise ConfigurationError(f"unknown tensor {name!r}") from None
 
     def tensors_with_role(self, role: Role) -> list[ParamTensor]:
         return [t for t in self._tensors if t.role == role]
@@ -165,25 +165,15 @@ class LayeredModel:
         self.tally.forward += self.cost_model(batch.size).total_forward_flops
         return float(loss), cache
 
-    def backward_truncated(self, batch: Batch, active) -> dict:
-        """Gradients for the tensors in `active`; empty set is a free no-op."""
-        active = set(active)
-        if not active:
-            return {}
-        known = {t.name for t in self._tensors}
-        unknown = active - known
-        if unknown:
-            raise ConfigurationError(f"unknown tensors in active set: {sorted(unknown)}")
-        _, cache = self._forward(batch)
-        return self.backward_from_cache(batch, cache, active)
-
     def backward_from_cache(self, batch: Batch, cache, active) -> dict:
         active = set(active)
         if not active:
             return {}
+        # the subset cost rejects unknown names before any backward work
+        flops = self.cost_model(batch.size).subset_backward_flops(active)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             grads = self._backward(batch, cache, active)
-        self.tally.backward += self.cost_model(batch.size).subset_backward_flops(active)
+        self.tally.backward += flops
         return grads
 
 
@@ -309,7 +299,7 @@ class _SequentialModel(LayeredModel):
 
     def _backward(self, batch, cache, active):
         caches, g = cache
-        deepest = max(self.tensor(n).layer_index for n in active)
+        deepest = max(self._by_name[n].layer_index for n in active)
         grads = {}
         for li in range(deepest + 1):
             layer_grads, g = self.layers[li].backward(g, caches[len(self.layers) - 1 - li], active)
@@ -594,8 +584,13 @@ def forward(model: LayeredModel, batch: Batch) -> float:
 
 
 def backward_truncated(model: LayeredModel, batch: Batch, active) -> dict:
-    """Gradients for `active` tensors, recomputing the forward internally."""
-    return model.backward_truncated(batch, active)
+    """Gradients for `active` tensors through one checked, tallied forward;
+    an empty set is a free no-op."""
+    active = set(active)
+    if not active:
+        return {}
+    _, cache = model.forward_with_cache(batch)
+    return model.backward_from_cache(batch, cache, active)
 
 
 def flops_profile(model: LayeredModel, batch_size: int = 1) -> CostModel:
@@ -604,7 +599,7 @@ def flops_profile(model: LayeredModel, batch_size: int = 1) -> CostModel:
 
 
 def full_gradient(model: LayeredModel, batch: Batch) -> dict:
-    return model.backward_truncated(batch, [t.name for t in model.tensors()])
+    return backward_truncated(model, batch, [t.name for t in model.tensors()])
 
 
 def make_model(kind: str, seed: int = 0, **kwargs) -> LayeredModel:

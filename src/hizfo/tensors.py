@@ -1,9 +1,8 @@
-"""Parameter tensors, batches, and the binary checkpoint format."""
+"""Parameter tensors, batches, roles and the library's error types."""
 
 from __future__ import annotations
 
-import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
 
 import numpy as np
@@ -88,41 +87,3 @@ class Batch:
     def size(self) -> int:
         return int(self.inputs.shape[0])
 
-
-# Checkpoint layout (little-endian):
-#   magic "HZFO", u32 version=1, u32 tensor count, then per tensor:
-#   u32 name length, UTF-8 name, u8 role, u32 rank, u64 dims..., f64 data...
-_MAGIC = b"HZFO"
-_VERSION = 1
-
-
-def save_checkpoint(path, tensors) -> None:
-    with open(path, "wb") as f:
-        f.write(_MAGIC)
-        f.write(struct.pack("<II", _VERSION, len(tensors)))
-        for t in tensors:
-            name = t.name.encode("utf-8")
-            f.write(struct.pack("<I", len(name)))
-            f.write(name)
-            f.write(struct.pack("<BI", int(t.role), len(t.shape)))
-            f.write(struct.pack(f"<{len(t.shape)}Q", *t.shape))
-            f.write(t.data.astype("<f8").tobytes())
-
-
-def load_checkpoint(path) -> list[ParamTensor]:
-    with open(path, "rb") as f:
-        if f.read(4) != _MAGIC:
-            raise ConfigurationError(f"{path}: not a HZFO checkpoint")
-        version, count = struct.unpack("<II", f.read(8))
-        if version != _VERSION:
-            raise ConfigurationError(f"{path}: unsupported checkpoint version {version}")
-        tensors = []
-        for _ in range(count):
-            (name_len,) = struct.unpack("<I", f.read(4))
-            name = f.read(name_len).decode("utf-8")
-            role, rank = struct.unpack("<BI", f.read(5))
-            dims = struct.unpack(f"<{rank}Q", f.read(8 * rank))
-            n = int(np.prod(dims)) if dims else 1
-            data = np.frombuffer(f.read(8 * n), dtype="<f8").astype(np.float64)
-            tensors.append(ParamTensor(name, dims, data, Role(role)))
-    return tensors

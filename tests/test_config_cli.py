@@ -217,6 +217,31 @@ class TestCli:
             rows = list(csv.DictReader(f))
         assert len(rows) == 1 and rows[0]["tensor"] == "block0"
 
+    def test_bad_hidden_dims_is_config_error(self, tmp_path, capsys):
+        text = MLP_CFG.format(out=tmp_path / "out").replace("hidden_dims = 16", "hidden_dims = 16,x")
+        cfg = self.write_cfg(tmp_path, text)
+        assert self.run_cli("train", "--config", str(cfg)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "hidden_dims" in err
+
+    def test_bad_quadratic_blocks_is_config_error(self, tmp_path, capsys):
+        text = (
+            "[model]\nkind = quadratic\nblocks = 10:1.0\n"
+            "[task]\ndataset = analytic\n"
+            f"[run]\nout_dir = {tmp_path / 'out'}\n"
+        )
+        cfg = self.write_cfg(tmp_path, text)
+        assert self.run_cli("profile", "--config", str(cfg), "--out", str(tmp_path / "p")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "blocks" in err
+
+    def test_warmup_overflow_exits_diverged(self, tmp_path, capsys):
+        text = MLP_CFG.format(out=tmp_path / "out").replace("rho = 0.6", "rho = 0.6\nwarmup_lr = 1e308")
+        cfg = self.write_cfg(tmp_path, text)
+        assert self.run_cli("train", "--config", str(cfg)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("diverged:") and err.count("\n") == 1
+
     def test_rho_sweep_reports_without_asserting(self, tmp_path):
         # the rho axis re-plans per value; the harness only reports medians
         text = MLP_CFG.format(out=tmp_path / "out").replace("max_steps = 30", "max_steps = 10")

@@ -36,6 +36,32 @@ class TestCharCorpus:
         ids = vocab.encode(b"abc\x01")
         assert ids[3] == 0 and all(i > 0 for i in ids[:3])
 
+    @staticmethod
+    def reference_ids(data, max_size):
+        """The documented rule: the most frequent bytes, ties broken by byte
+        value, numbered in byte order from 1; everything else is OOV id 0."""
+        counts = {}
+        for b in data:
+            counts[b] = counts.get(b, 0) + 1
+        keep = sorted(sorted(counts, key=lambda b: (-counts[b], b))[: max_size - 1])
+        ids = {b: i + 1 for i, b in enumerate(keep)}
+        return len(keep) + 1, [ids.get(b, 0) for b in range(256)]
+
+    def test_vocab_matches_reference_rule(self):
+        rng = np.random.default_rng(0)
+        corpora = [
+            b"", b"z", b"aaaabbbbcccc\x01", bytes(range(256)) * 3,
+            bytes(rng.integers(0, 256, 4000).astype(np.uint8)),
+            bytes(rng.integers(0, 80, 4000).astype(np.uint8)),
+            b"hello world, hello charlm " * 40,
+        ]
+        for data in corpora:
+            for max_size in (2, 4, 64):
+                vocab = ByteVocab(data, max_size=max_size)
+                size, ids = self.reference_ids(data, max_size)
+                assert vocab.size == size
+                assert vocab.encode(bytes(range(256))).tolist() == ids
+
     def test_windows_are_shifted_pairs(self):
         corpus = CharCorpus(b"hello world, hello charlm " * 40, context=8)
         batch = corpus.batches(1, 4, seed=0)[0]

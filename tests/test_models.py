@@ -1,5 +1,6 @@
 import csv
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -145,6 +146,23 @@ class TestGradients:
         m = MLPModel(dims=(2, 16, 2), seed=3)
         with pytest.raises(ConfigurationError):
             backward_truncated(m, two_moons_batches(1, 16, seed=5)[0], ["nope"])
+
+    def test_full_gradient_tallies_its_forward(self):
+        m = TinyAttentionLM(vocab_size=20, d_model=8, depth=2, context=8, seed=0)
+        batch = lm_batch()
+        before = m.tally.forward
+        full_gradient(m, batch)
+        assert m.tally.forward - before == m.cost_model(batch.size).total_forward_flops
+
+    def test_overflowing_loss_with_finite_activations_raises(self):
+        # one linear layer keeps the 1e200 activations finite; only the
+        # squared error overflows
+        m = MLPModel(dims=(2, 2), loss="mse", seed=0)
+        batch = Batch(np.full((4, 2), 1e200), np.zeros((4, 2)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericOverflowError):
+                backward_truncated(m, batch, [t.name for t in m.tensors()])
 
 
 class TestCostModel:

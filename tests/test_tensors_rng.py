@@ -1,19 +1,10 @@
 import pickle
-import struct
 
 import numpy as np
 import pytest
 
 from hizfo.rng import add_scaled_noise, noise_generator, regenerate_noise, splitmix64, step_seed
-from hizfo.tensors import (
-    Batch,
-    ConfigurationError,
-    NumericOverflowError,
-    ParamTensor,
-    Role,
-    load_checkpoint,
-    save_checkpoint,
-)
+from hizfo.tensors import Batch, ConfigurationError, NumericOverflowError, ParamTensor
 
 
 class TestRng:
@@ -93,40 +84,3 @@ class TestNumericOverflowError:
         assert type(e) is NumericOverflowError
         assert str(e) == "non-finite activations at layer 2" and e.layer_index == 2
 
-
-class TestCheckpoint:
-    def test_roundtrip(self, tmp_path):
-        tensors = [
-            ParamTensor("layer0.weight", (3, 2), np.arange(6.0), Role.FO, 0),
-            ParamTensor("embed", (4,), np.linspace(-1, 1, 4), Role.ZO, 1),
-        ]
-        path = tmp_path / "model.hzfo"
-        save_checkpoint(path, tensors)
-        loaded = load_checkpoint(path)
-        assert [t.name for t in loaded] == ["layer0.weight", "embed"]
-        for a, b in zip(tensors, loaded):
-            assert a.shape == b.shape and a.role == b.role
-            assert np.array_equal(a.data, b.data)
-
-    def test_binary_layout(self, tmp_path):
-        t = ParamTensor("ab", (2,), [1.5, -2.0], Role.ZO)
-        path = tmp_path / "one.hzfo"
-        save_checkpoint(path, [t])
-        raw = path.read_bytes()
-        assert raw[:4] == b"HZFO"
-        version, count = struct.unpack_from("<II", raw, 4)
-        assert (version, count) == (1, 1)
-        (name_len,) = struct.unpack_from("<I", raw, 12)
-        assert name_len == 2 and raw[16:18] == b"ab"
-        role, rank = struct.unpack_from("<BI", raw, 18)
-        assert (role, rank) == (int(Role.ZO), 1)
-        (dim,) = struct.unpack_from("<Q", raw, 23)
-        assert dim == 2
-        assert struct.unpack_from("<2d", raw, 31) == (1.5, -2.0)
-        assert len(raw) == 31 + 16
-
-    def test_bad_magic_rejected(self, tmp_path):
-        path = tmp_path / "junk.bin"
-        path.write_bytes(b"NOPE" + b"\x00" * 16)
-        with pytest.raises(ConfigurationError):
-            load_checkpoint(path)
