@@ -23,7 +23,6 @@ from .models import (
     flops_profile,
     forward,
     full_gradient,
-    make_model,
 )
 from .optimizer import (
     ALGORITHMS,

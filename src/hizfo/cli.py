@@ -19,6 +19,7 @@ from pathlib import Path
 
 from .config import (
     ExperimentConfig,
+    _convert,
     build_data,
     build_model,
     build_optimizer_config,
@@ -139,8 +140,8 @@ def cmd_sweep(cfg: ExperimentConfig, out: Path, axis: str, values: list[float]) 
     jobs = [
         (text, axis, v, cfg.master_seed + s) for v in values for s in range(SWEEP_SEEDS)
     ]
-    workers = int(os.environ.get("HZFO_THREADS", os.cpu_count() or 1))
-    workers = max(1, min(workers, len(jobs)))
+    threads = os.environ.get("HZFO_THREADS", str(os.cpu_count() or 1))
+    workers = max(1, min(_convert("i", threads, "HZFO_THREADS"), len(jobs)))
     if workers == 1:
         rows = [_sweep_worker(j) for j in jobs]
     else:
@@ -175,21 +176,26 @@ def cmd_report(out: Path) -> int:
     path = out / "report.json"
     if not path.exists():
         raise ConfigurationError(f"no report.json under {out}")
-    with open(path) as f:
-        report = json.load(f)
-    print(f"algorithm:          {report['algorithm']}")
-    print(f"steps run:          {report['steps_run']}")
-    print(f"diverged:           {report['diverged']}")
-    print(f"final eval loss:    {report['final_eval_loss']}")
-    print(f"backward FLOPs:     {report['total_backward_flops']}")
-    print(f"forward FLOPs:      {report['total_forward_flops']}")
-    proxy = report.get("memory_proxy", {})
-    print(
-        "memory proxy:       "
-        f"{proxy.get('tape_params', 0)} gradient-tape params + "
-        f"{proxy.get('optimizer_state_params', 0)} optimizer-state params"
-    )
-    print(f"wall time:          {report['wall_total_ns'] / 1e9:.3f} s")
+    try:
+        with open(path) as f:
+            report = json.load(f)
+        proxy = report.get("memory_proxy", {})
+        lines = (
+            f"algorithm:          {report['algorithm']}",
+            f"steps run:          {report['steps_run']}",
+            f"diverged:           {report['diverged']}",
+            f"final eval loss:    {report['final_eval_loss']}",
+            f"backward FLOPs:     {report['total_backward_flops']}",
+            f"forward FLOPs:      {report['total_forward_flops']}",
+            "memory proxy:       "
+            f"{proxy.get('tape_params', 0)} gradient-tape params + "
+            f"{proxy.get('optimizer_state_params', 0)} optimizer-state params",
+            f"wall time:          {report['wall_total_ns'] / 1e9:.3f} s",
+        )
+    except (ValueError, KeyError, TypeError, AttributeError) as e:
+        # not JSON, not UTF-8, or not the object `hizfo train` writes
+        raise ConfigurationError(f"bad report {path}: {e!r}") from e
+    print("\n".join(lines))
     return 0
 
 
@@ -223,7 +229,7 @@ def main(argv=None) -> int:
             _set_seed(cfg, args.seed)
         out = Path(args.out) if args.out else Path(cfg.out_dir)
         if args.command == "sweep":
-            values = [float(v) for v in args.values.split(",") if v.strip()]
+            values = [_convert("f", v, "--values") for v in args.values.split(",") if v.strip()]
             return cmd_sweep(cfg, out, args.axis, values)
         return {"profile": cmd_profile, "partition": cmd_partition, "train": cmd_train}[args.command](cfg, out)
     except (ConfigurationError, FileNotFoundError) as e:

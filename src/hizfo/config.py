@@ -12,7 +12,7 @@ import io
 from dataclasses import dataclass, field
 
 from .datasets import CharCorpus, two_moons_batches
-from .models import LayeredModel, make_model
+from .models import LayeredModel, MLPModel, QuadraticModel, RosenbrockModel, TinyAttentionLM
 from .optimizer import ALGORITHMS, OptimizerConfig
 from .tensors import ConfigurationError
 
@@ -147,8 +147,12 @@ def parse_config(text: str) -> ExperimentConfig:
 
 
 def load_config(path) -> ExperimentConfig:
-    with open(path) as f:
-        return parse_config(f.read())
+    try:
+        with open(path, encoding="utf-8") as f:
+            text = f.read()
+    except (OSError, UnicodeDecodeError) as e:
+        raise ConfigurationError(f"cannot read config {path}: {e}") from e
+    return parse_config(text)
 
 
 def serialize_config(cfg: ExperimentConfig) -> str:
@@ -169,22 +173,20 @@ def build_model(cfg: ExperimentConfig) -> LayeredModel:
     seed = cfg.get("model", "seed")
     if kind == "quadratic":
         blocks = _model_list(cfg, "blocks", _block, skip_empty=False)
-        return make_model("quadratic", seed=seed, blocks=tuple(blocks))
+        return QuadraticModel(blocks=tuple(blocks), seed=seed)
     if kind == "rosenbrock":
-        return make_model("rosenbrock")
+        return RosenbrockModel()
     if kind == "mlp":
         hidden = _model_list(cfg, "hidden_dims", int, skip_empty=True)
         dims = [cfg.get("model", "input_dim"), *hidden, cfg.get("model", "output_dim")]
-        return make_model("mlp", seed=seed, dims=tuple(dims), loss=cfg.get("model", "loss"))
+        return MLPModel(dims=tuple(dims), loss=cfg.get("model", "loss"), seed=seed)
     if kind == "attention_lm":
-        corpus = _corpus(cfg)
-        return make_model(
-            "attention_lm",
-            seed=seed,
-            vocab_size=corpus.vocab.size,
+        return TinyAttentionLM(
+            vocab_size=_corpus(cfg).vocab.size,
             d_model=cfg.get("model", "d_model"),
             depth=cfg.get("model", "depth"),
             context=cfg.get("model", "context"),
+            seed=seed,
         )
     raise ConfigurationError(f"unknown model kind {kind!r}")
 

@@ -41,18 +41,6 @@ class ImportanceProfile:
                      repr(self.raw_scores[name]), repr(self.scores[name])]
                 )
 
-    @classmethod
-    def load_csv(cls, path) -> "ImportanceProfile":
-        scores, raw, layers = {}, {}, {}
-        with open(path, newline="") as f:
-            for row in csv.DictReader(f):
-                name = row["tensor"]
-                layers[name] = int(row["layer_index"])
-                raw[name] = float(row["raw_importance"])
-                scores[name] = float(row["normalized_importance"])
-        normalizer = max((abs(v) for v in raw.values()), default=0.0)
-        return cls(scores, raw, warmup_steps=0, normalizer=normalizer, layer_index=layers)
-
 
 def estimate_importance(
     model: LayeredModel,

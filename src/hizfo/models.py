@@ -30,8 +30,6 @@ import numpy as np
 
 from .tensors import Batch, ConfigurationError, NumericOverflowError, ParamTensor, Role
 
-MODEL_KINDS = ("quadratic", "rosenbrock", "mlp", "attention_lm")
-
 
 @dataclass
 class CostEntry:
@@ -601,15 +599,3 @@ def flops_profile(model: LayeredModel, batch_size: int = 1) -> CostModel:
 def full_gradient(model: LayeredModel, batch: Batch) -> dict:
     return backward_truncated(model, batch, [t.name for t in model.tensors()])
 
-
-def make_model(kind: str, seed: int = 0, **kwargs) -> LayeredModel:
-    kind = kind.lower()
-    if kind == "quadratic":
-        return QuadraticModel(seed=seed, **kwargs)
-    if kind == "rosenbrock":
-        return RosenbrockModel(**kwargs)
-    if kind == "mlp":
-        return MLPModel(seed=seed, **kwargs)
-    if kind == "attention_lm":
-        return TinyAttentionLM(seed=seed, **kwargs)
-    raise ConfigurationError(f"unknown model kind {kind!r}; expected one of {MODEL_KINDS}")

@@ -9,15 +9,17 @@ finite-difference direction ``(L_perturbed - L_clean) / eps * u``. The
 noise is never stored: perturbing, restoring, and updating all regenerate
 it from the per-step seed.
 
-``backward_flops`` in a step record is the budget-comparable accounting of
-one truncated backward over the FO set; the model tally tracks every pass
-actually executed.
+``backward_flops`` in a step record is what the model tally counts for the
+step's clean truncated backward over the FO set, the budget-comparable
+cost; with ``alpha > 0`` the tally also counts one backward per probe.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import json
+import operator
 import time
 from dataclasses import dataclass, field, asdict
 
@@ -116,34 +118,9 @@ class FoUpdater:
         return sum(m.size + v.size for m, v in self.state.values())
 
 
-def _noise_fn(zo_arrays, seed, u_override):
-    """Returns apply(scale) adding scale*u in place; u regenerated per call."""
-    if u_override is None:
-        return lambda scale: add_scaled_noise(zo_arrays, seed, scale)
-    flat = np.asarray(u_override, dtype=np.float64).reshape(-1)
-    total = sum(a.size for a in zo_arrays)
-    if flat.size == 1:
-        flat = np.full(total, flat[0])
-    if flat.size != total:
-        raise ConfigurationError(f"u override has {flat.size} values for {total} ZO coordinates")
-
-    def apply(scale):
-        pos = 0
-        sq = 0.0
-        with np.errstate(over="ignore", invalid="ignore"):
-            for a in zo_arrays:
-                chunk = flat[pos : pos + a.size]
-                a += scale * chunk
-                sq += float(chunk @ chunk)
-                pos += a.size
-        return sq
-
-    return apply
-
-
 def _grad_norm(grads) -> float:
     with np.errstate(over="ignore", invalid="ignore"):
-        return float(np.sqrt(sum(float(g @ g) for g in grads.values())))
+        return float(np.sqrt(sum(float(g @ g) for g in grads)))
 
 
 def _record(step, lfo, lzo, ltotal, gnorm, znorm, bwd, fwd, t0, diverged=False):
@@ -163,71 +140,63 @@ def hizfo_step(
     cfg: OptimizerConfig,
     step_index: int,
     fo_updater: FoUpdater | None = None,
-    u_override=None,
 ) -> StepRecord:
     """One hybrid step over the model's current FO/ZO role assignment."""
     t0 = time.perf_counter_ns()
     fo = model.tensors_with_role(Role.FO)
-    zo = model.tensors_with_role(Role.ZO)
     fo_names = [t.name for t in fo]
-    zo_arrays = [t.data for t in zo]
+    zo_arrays = [t.data for t in model.tensors_with_role(Role.ZO)]
     updater = fo_updater or FoUpdater(cfg)
-    fwd_before = model.tally.forward
-    fo_cost = model.cost_model(batch.size).subset_backward_flops(fo_names)
+    fwd_before, bwd_before = model.tally.forward, model.tally.backward
 
     try:
         loss_clean, cache_clean = model.forward_with_cache(batch)
     except NumericOverflowError:
         return _diverged(step_index, model, fwd_before, t0)
-    grads_clean = model.backward_from_cache(batch, cache_clean, fo_names)
+    grads = model.backward_from_cache(batch, cache_clean, fo_names)
+    bwd = model.tally.backward - bwd_before
 
     base = step_seed(cfg.master_seed, step_index)
     seeds = [base] if cfg.probes == 1 else [step_seed(base, j) for j in range(cfg.probes)]
     eps = cfg.epsilon
-    loss_pert_sum = 0.0
-    grads_pert_acc: dict[str, np.ndarray] = {}
-    coefs: list[float] = []
-    noise_sq = 0.0
+    losses: list[float] = []
+    grads_pert: dict[str, np.ndarray] = {}  # summed over probes
     for seed in seeds:
-        noise = _noise_fn(zo_arrays, seed, u_override)
-        noise(+eps)
+        add_scaled_noise(zo_arrays, seed, +eps)
         try:
             loss_pert, cache_pert = model.forward_with_cache(batch)
         except NumericOverflowError:
-            noise(-eps)  # put the ZO parameters back before aborting
+            add_scaled_noise(zo_arrays, seed, -eps)  # put the ZO parameters back before aborting
             return _diverged(step_index, model, fwd_before, t0, loss_clean, float("nan"))
-        noise(-eps)
+        add_scaled_noise(zo_arrays, seed, -eps)
+        losses.append(loss_pert)
         if cfg.alpha != 0.0 and fo_names:
-            g = model.backward_from_cache(batch, cache_pert, fo_names)
-            for n, v in g.items():
-                if n in grads_pert_acc:
-                    grads_pert_acc[n] += v
+            for name, g in model.backward_from_cache(batch, cache_pert, fo_names).items():
+                if name in grads_pert:
+                    grads_pert[name] += g
                 else:
-                    grads_pert_acc[n] = v
-        loss_pert_sum += loss_pert
-        coefs.append((loss_pert - loss_clean) / eps)
+                    grads_pert[name] = g
 
-    n_probes = len(seeds)
-    loss_pert_mean = loss_pert_sum / n_probes
-    total = loss_clean + cfg.alpha * loss_pert_mean
-
-    grads_total = {}
-    for n in fo_names:
-        g = grads_clean[n]
-        if grads_pert_acc:
-            g = g + (cfg.alpha / n_probes) * grads_pert_acc[n]
-        grads_total[n] = g
-    updater.apply(fo, grads_total)
+    n = len(seeds)
+    for name, g in grads_pert.items():
+        grads[name] = grads[name] + (cfg.alpha / n) * g
+    updater.apply(fo, grads)
 
     est_sq = 0.0
-    for seed, coef in zip(seeds, coefs):
-        noise = _noise_fn(zo_arrays, seed, u_override)
-        sq = noise(-cfg.eta_zo * coef / n_probes)
-        est_sq += (coef / n_probes) ** 2 * sq
+    # the squared coefficient may overflow to inf: the next forward pass
+    # then reports the divergence
+    with np.errstate(over="ignore"):
+        for seed, loss_pert in zip(seeds, losses):
+            coef = (loss_pert - loss_clean) / eps
+            sq = add_scaled_noise(zo_arrays, seed, -cfg.eta_zo * coef / n)
+            est_sq += np.float64(coef / n) ** 2 * sq
     est_norm = float(np.sqrt(est_sq)) if zo_arrays else 0.0
 
-    return _record(step_index, loss_clean, loss_pert_mean, total,
-                   _grad_norm(grads_total), est_norm, fo_cost,
+    # summed left to right: from Python 3.12 on, sum() compensates and the
+    # mean could move in the last bit between interpreters
+    loss_pert_mean = functools.reduce(operator.add, losses) / n
+    return _record(step_index, loss_clean, loss_pert_mean, loss_clean + cfg.alpha * loss_pert_mean,
+                   _grad_norm(grads[name] for name in fo_names), est_norm, bwd,
                    model.tally.forward - fwd_before, t0)
 
 
@@ -236,10 +205,7 @@ def baseline_step_full_fo(
     fo_updater: FoUpdater | None = None,
 ) -> StepRecord:
     """Plain full backprop on every tensor; ZO fields stay zero."""
-    t0 = time.perf_counter_ns()
-    tensors = model.tensors()
-    bwd = model.cost_model(batch.size).total_backward_flops
-    return _fo_step(model, batch, cfg, step_index, fo_updater, tensors, bwd, t0)
+    return _fo_step(model, batch, cfg, step_index, fo_updater, model.tensors())
 
 
 def baseline_step_frozen_subset(
@@ -247,29 +213,26 @@ def baseline_step_frozen_subset(
     step_index: int = 0, fo_updater: FoUpdater | None = None,
 ) -> StepRecord:
     """First-order updates on the plan's FO set; everything else untouched."""
+    return _fo_step(model, batch, cfg, step_index, fo_updater, [model.tensor(n) for n in plan.fo_set])
+
+
+def _fo_step(model, batch, cfg, step_index, fo_updater, tensors) -> StepRecord:
+    """First-order update of `tensors` from one truncated backward."""
     t0 = time.perf_counter_ns()
-    tensors = [model.tensor(n) for n in plan.fo_set]
-    bwd = model.cost_model(batch.size).subset_backward_flops(plan.fo_set)
-    return _fo_step(model, batch, cfg, step_index, fo_updater, tensors, bwd, t0)
-
-
-def _fo_step(model, batch, cfg, step_index, fo_updater, tensors, bwd, t0) -> StepRecord:
-    """First-order update of `tensors`, whose truncated backward costs `bwd`."""
     updater = fo_updater or FoUpdater(cfg)
-    fwd_before = model.tally.forward
+    fwd_before, bwd_before = model.tally.forward, model.tally.backward
     try:
         loss, cache = model.forward_with_cache(batch)
     except NumericOverflowError:
         return _diverged(step_index, model, fwd_before, t0)
     grads = model.backward_from_cache(batch, cache, [t.name for t in tensors])
     updater.apply(tensors, grads)
-    return _record(step_index, loss, 0.0, loss + cfg.alpha * 0.0, _grad_norm(grads),
-                   0.0, bwd, model.tally.forward - fwd_before, t0)
+    return _record(step_index, loss, 0.0, loss + cfg.alpha * 0.0, _grad_norm(grads.values()), 0.0,
+                   model.tally.backward - bwd_before, model.tally.forward - fwd_before, t0)
 
 
 def baseline_step_mezo(
     model: LayeredModel, batch: Batch, cfg: OptimizerConfig, step_index: int = 0,
-    u_override=None,
 ) -> StepRecord:
     """Pure zeroth order: seeded central difference over all parameters.
 
@@ -279,19 +242,21 @@ def baseline_step_mezo(
     t0 = time.perf_counter_ns()
     arrays = [t.data for t in model.tensors()]
     seed = step_seed(cfg.master_seed, step_index)
-    noise = _noise_fn(arrays, seed, u_override)
     eps = cfg.epsilon
     fwd_before = model.tally.forward
-    noise(+eps)
+    add_scaled_noise(arrays, seed, +eps)
+    shift = eps  # the noise multiple the parameters carry
     try:
         loss_plus = model.forward(batch)
-        noise(-2 * eps)
+        add_scaled_noise(arrays, seed, -2 * eps)
+        shift = -eps
         loss_minus = model.forward(batch)
     except NumericOverflowError:
+        add_scaled_noise(arrays, seed, -shift)  # put the parameters back before aborting
         return _diverged(step_index, model, fwd_before, t0)
-    noise(+eps)  # restore
+    add_scaled_noise(arrays, seed, +eps)  # restore
     coef = (loss_plus - loss_minus) / (2 * eps)
-    sq = noise(-cfg.eta_zo * coef)
+    sq = add_scaled_noise(arrays, seed, -cfg.eta_zo * coef)
     mid = 0.5 * (loss_plus + loss_minus)
     return _record(step_index, mid, 0.0, mid + cfg.alpha * 0.0, 0.0,
                    abs(coef) * float(np.sqrt(sq)), 0, model.tally.forward - fwd_before, t0)

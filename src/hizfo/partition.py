@@ -20,7 +20,7 @@ importance <= 0 are never selected: they can only hurt a maximization.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,19 +60,6 @@ class PartitionPlan:
         with open(path, "w") as f:
             json.dump(self.to_dict(), f, indent=2, sort_keys=True)
             f.write("\n")
-
-    @classmethod
-    def from_dict(cls, d: dict, buckets: int = 0) -> "PartitionPlan":
-        return cls(
-            fo_set=list(d["fo"]),
-            zo_set=list(d["zo"]),
-            budget_ratio=float(d["rho"]),
-            budget_flops=float(d["budget_flops"]),
-            consumed_flops=int(d["consumed_flops"]),
-            achieved_importance=float(d["achieved_importance"]),
-            quantization_buckets=int(buckets),
-            warning=d.get("warning"),
-        )
 
 
 def _check_keys(profile: ImportanceProfile, cost: CostModel):

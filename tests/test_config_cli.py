@@ -195,7 +195,7 @@ class TestCli:
         apply_plan(model_a, plan)
         opt = build_optimizer_config(cfg)
         model_b = build_model(cfg)
-        hizfo_step(model_a, batches[0], opt, 0, u_override=0.0)
+        hizfo_step(model_a, batches[0], opt, 0)
         baseline_step_frozen_subset(model_b, batches[0], opt, plan, 0)
         for name in plan.fo_set:
             assert np.array_equal(model_a.tensor(name).data, model_b.tensor(name).data)
@@ -241,6 +241,39 @@ class TestCli:
         assert self.run_cli("train", "--config", str(cfg)) == 2
         err = capsys.readouterr().err
         assert err.startswith("diverged:") and err.count("\n") == 1
+
+    def test_overflowing_zo_coefficient_exits_diverged(self, tmp_path, capsys):
+        # the finite-difference coefficient is about 1e157, so its square
+        # overflows; the run reports divergence instead of raising
+        text = (
+            "[model]\nkind = quadratic\nblocks = 1:1.0:0.0,4:1e157:0.0\n"
+            "[task]\ndataset = analytic\n"
+            "[partition]\nrho = 0.3\nwarmup_steps = 1\nwarmup_lr = 1e-170\n"
+            f"[run]\nout_dir = {tmp_path / 'out'}\n"
+        )
+        cfg = self.write_cfg(tmp_path, text)
+        assert self.run_cli("train", "--config", str(cfg)) == 2
+        assert "diverged=True" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv,threads,files", [
+        (["sweep", "--config", "{cfg}", "--axis", "alpha", "--values", "0.1,x"], None, {}),
+        (["sweep", "--config", "{cfg}", "--axis", "alpha", "--values", "0.1"], "abc", {}),
+        (["report", "--out", "{tmp}"], None, {"report.json": b"{"}),
+        (["report", "--out", "{tmp}"], None, {"report.json": b'{"algorithm": "hizfo"}'}),
+        (["train", "--config", "{tmp}"], None, {}),
+        (["train", "--config", "{tmp}/latin1.cfg"], None, {"latin1.cfg": b"[run]\nout_dir = \xe9\n"}),
+    ], ids=["sweep_values", "hzfo_threads", "report_not_json", "report_missing_key",
+            "config_is_directory", "config_not_utf8"])
+    def test_bad_input_is_config_error(self, tmp_path, capsys, monkeypatch, argv, threads, files):
+        cfg = self.write_cfg(tmp_path)
+        for name, data in files.items():
+            (tmp_path / name).write_bytes(data)
+        if threads is not None:
+            monkeypatch.setenv("HZFO_THREADS", threads)
+        argv = [a.format(cfg=cfg, tmp=tmp_path) for a in argv]
+        assert self.run_cli(*argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
 
     def test_rho_sweep_reports_without_asserting(self, tmp_path):
         # the rho axis re-plans per value; the harness only reports medians

@@ -1,7 +1,9 @@
+import csv
+
 import numpy as np
 import pytest
 
-from hizfo.importance import ImportanceProfile, estimate_importance
+from hizfo.importance import estimate_importance
 from hizfo.models import MLPModel, QuadraticModel, full_gradient
 from hizfo.datasets import two_moons_batches
 from hizfo.tensors import ConfigurationError
@@ -104,7 +106,8 @@ class TestProtocol:
         prof = estimate_importance(m, [m.dummy_batch()], warmup_steps=3, warmup_lr=1e-2)
         path = tmp_path / "importance.csv"
         prof.save_csv(path)
-        loaded = ImportanceProfile.load_csv(path)
-        assert loaded.scores == prof.scores
-        assert loaded.raw_scores == prof.raw_scores
-        assert loaded.layer_index == prof.layer_index
+        with open(path, newline="") as f:
+            rows = list(csv.DictReader(f))
+        assert {r["tensor"]: float(r["normalized_importance"]) for r in rows} == prof.scores
+        assert {r["tensor"]: float(r["raw_importance"]) for r in rows} == prof.raw_scores
+        assert {r["tensor"]: int(r["layer_index"]) for r in rows} == prof.layer_index

@@ -16,7 +16,6 @@ from hizfo.models import (
     flops_profile,
     forward,
     full_gradient,
-    make_model,
 )
 from hizfo.tensors import Batch, ConfigurationError, NumericOverflowError, Role
 
@@ -256,10 +255,6 @@ class TestDeterminismAndErrors:
         bad = Batch(np.full((2, 8), 11), np.zeros((2, 8), dtype=int))
         with pytest.raises(ConfigurationError):
             forward(m, bad)
-
-    def test_make_model_rejects_unknown_kind(self):
-        with pytest.raises(ConfigurationError):
-            make_model("perceptron")
 
     def test_lm_caps(self):
         with pytest.raises(ConfigurationError):

@@ -1,8 +1,11 @@
 import csv
+import hashlib
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 
+from hizfo import optimizer
 from hizfo.datasets import two_moons_batches
 from hizfo.models import MLPModel, QuadraticModel, RosenbrockModel
 from hizfo.optimizer import (
@@ -38,11 +41,29 @@ def mlp_with_split(seed=1, dims=(2, 16, 2)):
 CFG = dict(eta_fo=0.05, eta_zo=0.005, epsilon=1e-3, alpha=0.1, master_seed=5)
 
 
+@pytest.fixture
+def force_noise(monkeypatch):
+    """force_noise(u) makes the step functions' noise u in every coordinate:
+    each call adds scale * u and returns size * u**2, like the seeded one."""
+
+    def force(u):
+        def fake(arrays, seed, scale):
+            with np.errstate(over="ignore", invalid="ignore"):
+                for a in arrays:
+                    a += scale * u
+            return sum(a.size for a in arrays) * (u * u)
+
+        monkeypatch.setattr(optimizer, "add_scaled_noise", fake)
+
+    return force
+
+
 class TestHizfoStep:
-    def test_forced_unit_noise_hand_arithmetic(self):
+    def test_forced_unit_noise_hand_arithmetic(self, force_noise):
         m = one_d_quadratic()
         cfg = OptimizerConfig(eta_fo=0.1, eta_zo=1e-4, epsilon=1e-3, alpha=0.1, master_seed=7)
-        rec = hizfo_step(m, m.dummy_batch(), cfg, 0, u_override=1.0)
+        force_noise(1.0)
+        rec = hizfo_step(m, m.dummy_batch(), cfg, 0)
         assert rec.L_FO == 0.5
         assert rec.L_ZO == pytest.approx(0.5 * 1.001**2, abs=1e-15)
         ghat = (rec.L_ZO - rec.L_FO) / 1e-3
@@ -50,15 +71,16 @@ class TestHizfoStep:
         assert m.tensors()[0].data[0] == pytest.approx(1.0 - 1e-4 * ghat, abs=1e-15)
         assert rec.L_total == rec.L_FO + 0.1 * rec.L_ZO
 
-    def test_forced_zero_noise_is_pure_fo(self):
+    def test_forced_zero_noise_is_pure_fo(self, force_noise):
         m = one_d_quadratic()
         cfg = OptimizerConfig(**CFG)
-        rec = hizfo_step(m, m.dummy_batch(), cfg, 0, u_override=0.0)
+        force_noise(0.0)
+        rec = hizfo_step(m, m.dummy_batch(), cfg, 0)
         assert rec.L_ZO == rec.L_FO
         assert rec.zo_estimate_norm == 0.0
         assert m.tensors()[0].data[0] == 1.0  # ZO untouched
 
-    def test_zero_noise_fo_gradient_is_one_plus_alpha_scaled(self):
+    def test_zero_noise_fo_gradient_is_one_plus_alpha_scaled(self, force_noise):
         # block0 FO, block1 ZO; with u = 0 the FO update uses (1 + alpha) grad
         m = QuadraticModel(blocks=((1, 1.0, 0.0), (1, 1.0, 0.0)), seed=0)
         for t in m.tensors():
@@ -67,7 +89,8 @@ class TestHizfoStep:
         m.tensors()[1].role = Role.ZO
         alpha, eta = 0.25, 0.1
         cfg = OptimizerConfig(eta_fo=eta, eta_zo=1e-6, epsilon=1e-3, alpha=alpha, master_seed=1)
-        hizfo_step(m, m.dummy_batch(), cfg, 0, u_override=0.0)
+        force_noise(0.0)
+        hizfo_step(m, m.dummy_batch(), cfg, 0)
         assert m.tensors()[0].data[0] == pytest.approx(1.0 - eta * (1 + alpha) * 1.0, abs=1e-15)
 
     def test_estimator_mean_one_d_raw_monte_carlo(self):
@@ -133,6 +156,17 @@ class TestHizfoStep:
         # and exactly two forward passes
         assert rec.forward_flops == 2 * cost.total_forward_flops
 
+    def test_backward_flops_field_with_probes_is_one_backward(self):
+        m, plan = mlp_with_split()
+        batch = two_moons_batches(1, 32, seed=3)[0]
+        cfg = OptimizerConfig(probes=3, **CFG)
+        one = m.cost_model(batch.size).subset_backward_flops(plan.fo_set)
+        before = m.tally.backward
+        rec = hizfo_step(m, batch, cfg, 0)
+        assert rec.backward_flops == one
+        # alpha > 0: the clean backward and one per probe were executed
+        assert m.tally.backward - before == (1 + cfg.probes) * one
+
     def test_nonfinite_clean_loss_aborts_step(self):
         m = one_d_quadratic(theta=1e200)  # 0.5 * theta^2 overflows
         params_before = [t.data.copy() for t in m.tensors()]
@@ -141,7 +175,7 @@ class TestHizfoStep:
         for t, b in zip(m.tensors(), params_before):
             assert np.array_equal(t.data, b)  # aborted before any update
 
-    def test_nonfinite_perturbed_loss_restores_zo_and_reports(self):
+    def test_nonfinite_perturbed_loss_restores_zo_and_reports(self, force_noise):
         # ZO block at exactly 0 so the regenerate-and-subtract restore is exact
         # even for the enormous forced noise that overflows the perturbed pass
         m = QuadraticModel(blocks=((1, 1.0, 0.0), (1, 1e300, 0.0)), seed=0)
@@ -150,7 +184,8 @@ class TestHizfoStep:
         m.tensors()[1].data[:] = 0.0
         m.tensors()[1].role = Role.ZO
         cfg = OptimizerConfig(**CFG)
-        rec = hizfo_step(m, m.dummy_batch(), cfg, 0, u_override=1e160)
+        force_noise(1e160)
+        rec = hizfo_step(m, m.dummy_batch(), cfg, 0)
         assert rec.diverged
         assert np.isfinite(rec.L_FO) and not np.isfinite(rec.L_ZO)
         assert m.tensors()[1].data[0] == 0.0  # restored
@@ -196,12 +231,13 @@ class TestBaselines:
             assert np.array_equal(t.data, b)
         assert rec.zo_estimate_norm == 0.0
 
-    def test_frozen_matches_hizfo_fo_part_at_alpha_zero_u_zero(self):
+    def test_frozen_matches_hizfo_fo_part_at_alpha_zero_u_zero(self, force_noise):
         m1, plan = mlp_with_split()
         m2, _ = mlp_with_split()
         batch = two_moons_batches(1, 32, seed=3)[0]
         cfg = OptimizerConfig(eta_fo=0.05, eta_zo=1e-9, epsilon=1e-3, alpha=0.0, master_seed=5)
-        hizfo_step(m1, batch, cfg, 0, u_override=0.0)
+        force_noise(0.0)
+        hizfo_step(m1, batch, cfg, 0)
         baseline_step_frozen_subset(m2, batch, cfg, plan)
         for n in plan.fo_set:
             assert np.array_equal(m1.tensor(n).data, m2.tensor(n).data)
@@ -218,19 +254,47 @@ class TestBaselines:
         for a, b in zip(m1.tensors(), m2.tensors()):
             assert np.array_equal(a.data, b.data)
 
-    def test_mezo_quadratic_central_difference_is_exact(self):
+    def test_mezo_quadratic_central_difference_is_exact(self, force_noise):
         m = one_d_quadratic()
         cfg = OptimizerConfig(eta_fo=0.1, eta_zo=1e-4, epsilon=1e-3, master_seed=0)
-        baseline_step_mezo(m, m.dummy_batch(), cfg, 0, u_override=1.0)
+        force_noise(1.0)
+        baseline_step_mezo(m, m.dummy_batch(), cfg, 0)
         # central difference of a quadratic equals the true gradient (1.0)
         assert m.tensors()[0].data[0] == pytest.approx(1.0 - 1e-4, abs=1e-12)
 
-    def test_mezo_zero_noise_is_noop(self):
+    def test_mezo_zero_noise_is_noop(self, force_noise):
         m = one_d_quadratic()
         cfg = OptimizerConfig(eta_fo=0.1, eta_zo=1e-4, epsilon=1e-3, master_seed=0)
-        rec = baseline_step_mezo(m, m.dummy_batch(), cfg, 0, u_override=0.0)
+        force_noise(0.0)
+        rec = baseline_step_mezo(m, m.dummy_batch(), cfg, 0)
         assert m.tensors()[0].data[0] == 1.0
         assert rec.backward_flops == 0
+
+    @pytest.mark.parametrize("theta", [0.0, -1e4])
+    def test_mezo_overflow_restores_parameters(self, force_noise, theta):
+        # theta 0 overflows the +eps pass, theta -1e4 only the -eps pass
+        m = QuadraticModel(blocks=((1, 1e301, 0.0),), seed=0)
+        m.tensors()[0].data[:] = theta
+        cfg = OptimizerConfig(eta_fo=0.1, eta_zo=1e-4, epsilon=1e4, master_seed=0)
+        force_noise(1.0)
+        rec = baseline_step_mezo(m, m.dummy_batch(), cfg, 0)
+        assert rec.diverged
+        assert m.tensors()[0].data[0] == theta
+
+    @pytest.mark.parametrize("algorithm", ["full_fo", "frozen_subset"])
+    def test_fo_baseline_backward_flops_field(self, algorithm):
+        m, plan = mlp_with_split()
+        batch = two_moons_batches(1, 32, seed=3)[0]
+        cfg = OptimizerConfig(**CFG)
+        cost = m.cost_model(batch.size)
+        before = m.tally.backward
+        if algorithm == "full_fo":
+            rec = baseline_step_full_fo(m, batch, cfg)
+            expected = cost.total_backward_flops
+        else:
+            rec = baseline_step_frozen_subset(m, batch, cfg, plan)
+            expected = cost.subset_backward_flops(plan.fo_set)
+        assert rec.backward_flops == m.tally.backward - before == expected
 
     def test_mezo_mean_estimate_tracks_gradient(self):
         theta = 2.0
@@ -239,6 +303,31 @@ class TestBaselines:
         u = rng.standard_normal(100_000)
         ghat = ((0.5 * (theta + eps * u) ** 2 - 0.5 * (theta - eps * u) ** 2) / (2 * eps)) * u
         assert abs(ghat.mean() - theta) <= 0.01 * theta
+
+
+# (probes, alpha) -> the records of two hybrid steps (every field but wall_ns)
+# and the sha256 of the final parameters. The values were recorded from the
+# implementation that had a separate forced-noise path and took FLOPs from
+# the cost model, so they pin the step arithmetic bit for bit.
+GOLDEN_STEPS = {
+    (1, 0.0): ([(0, 0.7833483716969771, 0.7828341694119002, 0.7833483716969771, 0.7626452043879245, 3.4080611037947524, 4160, 8192, False), (1, 0.7491085894548017, 0.7490377470809009, 0.7491085894548017, 0.672623989189976, 0.48005612537352704, 4160, 8192, False)], '7e58944901c6b33f9c53bee6f123ca281c8b558608b452be1c015606e4651e2c'),
+    (1, 0.1): ([(0, 0.7833483716969771, 0.7828341694119002, 0.8616317886381671, 0.838835070282807, 3.4080611037947524, 4160, 8192, False), (1, 0.7465560599116425, 0.7464852761513416, 0.8212045875267767, 0.737203327610695, 0.47965893628812317, 4160, 8192, False)], '29aea2c940ced8ca5fa3a19f78f2260948d37d0f2b680365bd0baaa418502aff'),
+    (3, 0.0): ([(0, 0.7833483716969771, 0.7833438078670092, 0.7833483716969771, 0.7626452043879245, 0.13759647731837635, 4160, 16384, False), (1, 0.7502571266299647, 0.7501708727523013, 0.7502571266299647, 0.6742973984505531, 0.4365155898507039, 4160, 16384, False)], '2e331e03ebc916808225eb41e99e0f5e57e6e1666dd03c1912b50eced74d187c'),
+    (3, 0.1): ([(0, 0.7833483716969771, 0.7833438078670092, 0.8616827524836781, 0.8389118737959921, 0.13759647731837635, 4160, 16384, False), (1, 0.7476958312131736, 0.7476097862096349, 0.8224568098341372, 0.7390389419642847, 0.43632918607690974, 4160, 16384, False)], '0493914c596b4aafe385dbf197bd60112de2b1e2f9f6cfdf8e9cc9fc1a609ea0'),
+}
+
+
+@pytest.mark.parametrize("probes,alpha", sorted(GOLDEN_STEPS))
+def test_golden_hybrid_steps(probes, alpha):
+    m, _ = mlp_with_split()
+    cfg = OptimizerConfig(eta_fo=0.05, eta_zo=0.005, epsilon=1e-3, alpha=alpha,
+                          master_seed=5, probes=probes)
+    records = []
+    for s, batch in enumerate(two_moons_batches(2, 32, seed=3)):
+        fields = astuple(hizfo_step(m, batch, cfg, s))
+        records.append(fields[:8] + fields[9:])  # all but wall_ns
+    params = hashlib.sha256(b"".join(t.data.tobytes() for t in m.tensors())).hexdigest()
+    assert (records, params) == GOLDEN_STEPS[(probes, alpha)]
 
 
 class TestAdamLike:
