@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import statistics
 import sys
@@ -174,7 +175,7 @@ def cmd_verify(fast: bool) -> int:
 
 def cmd_report(out: Path) -> int:
     path = out / "report.json"
-    if not path.exists():
+    if not path.is_file():
         raise ConfigurationError(f"no report.json under {out}")
     try:
         with open(path) as f:
@@ -228,8 +229,15 @@ def main(argv=None) -> int:
         if args.seed is not None:
             _set_seed(cfg, args.seed)
         out = Path(args.out) if args.out else Path(cfg.out_dir)
+        # fail before the run, not when its results are written
+        existing = next(p for p in (out, *out.parents) if p.exists())
+        if not existing.is_dir():
+            raise ConfigurationError(f"output path {out}: {existing} is not a directory")
         if args.command == "sweep":
             values = [_convert("f", v, "--values") for v in args.values.split(",") if v.strip()]
+            bad = [v for v in values if not math.isfinite(v)]
+            if bad:
+                raise ConfigurationError(f"--values must be finite, got {bad[0]!r}")
             return cmd_sweep(cfg, out, args.axis, values)
         return {"profile": cmd_profile, "partition": cmd_partition, "train": cmd_train}[args.command](cfg, out)
     except (ConfigurationError, FileNotFoundError) as e:

@@ -24,6 +24,7 @@ equals the sum of all per-tensor entries exactly.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -436,20 +437,30 @@ class _HeadLayer:
         self.tensors = [W]
 
     def forward(self, x):
-        return x @ self.tensors[0].view(), x
+        B, T, d = x.shape
+        return (x.reshape(B * T, d) @ self.tensors[0].view()).reshape(B, T, self.vocab), x
 
     def backward(self, g_out, cache, active):
         x = cache
+        B, T, d = x.shape
+        g2 = g_out.reshape(B * T, self.vocab)
         W = self.tensors[0]
         grads = {}
         if W.name in active:
-            grads[W.name] = np.einsum("btd,btv->dv", x, g_out).reshape(-1)
-        g_in = g_out @ W.view().T
-        return grads, g_in
+            grads[W.name] = (x.reshape(B * T, d).T @ g2).reshape(-1)
+        return grads, (g2 @ W.view().T).reshape(B, T, d)
 
     def cost_entries(self, layer_index, batch, T):
         m = 2 * batch * T * self.d_model * self.vocab
         return [CostEntry(self.tensors[0].name, layer_index, m, m, m)]
+
+
+@functools.lru_cache(maxsize=64)
+def _future_mask(T):
+    """Read-only (T, T) mask of the positions each query may not attend to."""
+    mask = ~np.tril(np.ones((T, T), dtype=bool))
+    mask.flags.writeable = False
+    return mask
 
 
 class _AttentionBlock:
@@ -472,49 +483,71 @@ class _AttentionBlock:
 
     def forward(self, x):
         Wq, Wk, Wv, Wo, W1, b1, W2, b2 = (t.view() for t in self.tensors)
-        T = x.shape[1]
-        q, k, v = x @ Wq, x @ Wk, x @ Wv
-        s = (q @ k.transpose(0, 2, 1)) / np.sqrt(self.d_model)
-        s = np.where(np.tril(np.ones((T, T), dtype=bool)), s, -1e30)
-        a = np.exp(s - s.max(axis=-1, keepdims=True))
+        B, T, d = x.shape
+        x2 = x.reshape(B * T, d)
+        qkv = (x2 @ np.concatenate((Wq, Wk, Wv), axis=1)).reshape(B, T, 3 * d)
+        q, k, v = qkv[..., :d], qkv[..., d : 2 * d], qkv[..., 2 * d :]
+        s = q @ k.transpose(0, 2, 1)
+        s /= np.sqrt(d)
+        np.copyto(s, -1e30, where=_future_mask(T))
+        s -= s.max(axis=-1, keepdims=True)
+        a = np.exp(s, out=s)
         a /= a.sum(axis=-1, keepdims=True)
         z = a @ v
-        h = x + z @ Wo
-        t1 = np.tanh(h @ W1 + b1)
-        out = h + t1 @ W2 + b2
-        return out, (x, q, k, v, a, z, h, t1)
+        h = z.reshape(B * T, d) @ Wo
+        h += x2
+        t1 = h @ W1
+        t1 += b1
+        np.tanh(t1, out=t1)
+        out = t1 @ W2
+        out += h
+        out += b2
+        shape = (B, T, -1)
+        return out.reshape(shape), (x, q, k, v, a, z, h.reshape(shape), t1.reshape(shape))
 
     def backward(self, g_out, cache, active):
         x, q, k, v, a, z, h, t1 = cache
         Wq, Wk, Wv, Wo, W1, b1, W2, b2 = self.tensors
+        B, T, d = x.shape
+        n = B * T
+        # every weight gradient and input gradient is one 2-D GEMM over the
+        # (B*T, .) rows; only the attention mixing stays batched per sequence
+        g2 = g_out.reshape(n, d)
+        t1 = t1.reshape(n, -1)
         grads = {}
 
-        g_t1 = g_out @ W2.view().T
+        g_u1 = g2 @ W2.view().T
         if W2.name in active:
-            grads[W2.name] = np.einsum("btf,btd->fd", t1, g_out).reshape(-1)
+            grads[W2.name] = (t1.T @ g2).reshape(-1)
         if b2.name in active:
-            grads[b2.name] = g_out.sum(axis=(0, 1))
-        g_u1 = g_t1 * (1.0 - t1 * t1)
-        g_h = g_out + g_u1 @ W1.view().T
+            grads[b2.name] = g2.sum(axis=0)
+        g_u1 *= 1.0 - t1 * t1
+        g_h = g_u1 @ W1.view().T
+        g_h += g2
         if W1.name in active:
-            grads[W1.name] = np.einsum("btd,btf->df", h, g_u1).reshape(-1)
+            grads[W1.name] = (h.reshape(n, d).T @ g_u1).reshape(-1)
         if b1.name in active:
-            grads[b1.name] = g_u1.sum(axis=(0, 1))
+            grads[b1.name] = g_u1.sum(axis=0)
 
-        g_z = g_h @ Wo.view().T
+        g_z = (g_h @ Wo.view().T).reshape(B, T, d)
         if Wo.name in active:
-            grads[Wo.name] = np.einsum("btd,bte->de", z, g_h).reshape(-1)
+            grads[Wo.name] = (z.reshape(n, d).T @ g_h).reshape(-1)
         g_a = g_z @ v.transpose(0, 2, 1)
         g_v = a.transpose(0, 2, 1) @ g_z
-        g_s = a * (g_a - (g_a * a).sum(axis=-1, keepdims=True))
-        g_s /= np.sqrt(self.d_model)
+        g_s = g_a
+        g_s -= (g_a * a).sum(axis=-1, keepdims=True)
+        g_s *= a
+        g_s /= np.sqrt(d)
         g_q = g_s @ k
         g_k = g_s.transpose(0, 2, 1) @ q
-        g_x = g_h + g_q @ Wq.view().T + g_k @ Wk.view().T + g_v @ Wv.view().T
+        x2 = x.reshape(n, d)
+        g_x = g_h
         for W, g in ((Wq, g_q), (Wk, g_k), (Wv, g_v)):
+            g = g.reshape(n, d)
+            g_x += g @ W.view().T
             if W.name in active:
-                grads[W.name] = np.einsum("btd,bte->de", x, g).reshape(-1)
-        return grads, g_x
+                grads[W.name] = (x2.T @ g).reshape(-1)
+        return grads, g_x.reshape(B, T, d)
 
     def cost_entries(self, layer_index, batch, T):
         d, f = self.d_model, self.d_ff

@@ -275,6 +275,43 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and err.count("\n") == 1
 
+    @staticmethod
+    def forbid_runs(monkeypatch):
+        def no_run(*args):
+            raise AssertionError("a run started")
+        monkeypatch.setattr("hizfo.cli._profile", no_run)
+        monkeypatch.setenv("HZFO_THREADS", "1")
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_nonfinite_sweep_value_fails_before_any_run(self, tmp_path, capsys, monkeypatch, value):
+        self.forbid_runs(monkeypatch)
+        cfg = self.write_cfg(tmp_path)
+        code = self.run_cli("sweep", "--config", str(cfg), "--axis", "r", "--values", f"0.1,{value}")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("below", ["", "sub"])
+    @pytest.mark.parametrize("command", ["profile", "partition", "train", "sweep"])
+    def test_out_naming_a_file_fails_before_the_run(self, tmp_path, capsys, monkeypatch, command, below):
+        self.forbid_runs(monkeypatch)
+        cfg = self.write_cfg(tmp_path)
+        taken = tmp_path / "taken"
+        taken.write_text("not a directory")
+        extra = ["--axis", "r", "--values", "0.1"] if command == "sweep" else []
+        code = self.run_cli(command, "--config", str(cfg), "--out", str(taken / below), *extra)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert taken.read_text() == "not a directory"
+
+    def test_report_json_that_is_a_directory_is_config_error(self, tmp_path, capsys):
+        (tmp_path / "report.json").mkdir()
+        assert self.run_cli("report", "--out", str(tmp_path)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: no report.json under") and err.count("\n") == 1
+
     def test_rho_sweep_reports_without_asserting(self, tmp_path):
         # the rho axis re-plans per value; the harness only reports medians
         text = MLP_CFG.format(out=tmp_path / "out").replace("max_steps = 30", "max_steps = 10")

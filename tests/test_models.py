@@ -164,6 +164,74 @@ class TestGradients:
                 backward_truncated(m, batch, [t.name for t in m.tensors()])
 
 
+def reference_block_forward(block, x):
+    """The attention block's forward as first written: 3-D matmuls, one
+    projection per weight, a fresh mask and fresh arrays at every step."""
+    Wq, Wk, Wv, Wo, W1, b1, W2, b2 = (t.view() for t in block.tensors)
+    T = x.shape[1]
+    q, k, v = x @ Wq, x @ Wk, x @ Wv
+    s = (q @ k.transpose(0, 2, 1)) / np.sqrt(block.d_model)
+    s = np.where(np.tril(np.ones((T, T), dtype=bool)), s, -1e30)
+    a = np.exp(s - s.max(axis=-1, keepdims=True))
+    a /= a.sum(axis=-1, keepdims=True)
+    z = a @ v
+    h = x + z @ Wo
+    t1 = np.tanh(h @ W1 + b1)
+    out = h + t1 @ W2 + b2
+    return out, (x, q, k, v, a, z, h, t1)
+
+
+class TestAttentionKernels:
+    @pytest.mark.parametrize("T", [8, 5])
+    def test_block_forward_bit_identical_to_reference(self, T):
+        m = TinyAttentionLM(vocab_size=20, d_model=8, depth=3, context=8, seed=5)
+        _, (caches, _) = m.forward_with_cache(lm_batch(T=T, seed=2))
+        blocks = m.layers[1:-1][::-1]  # execution order
+        for block, cache in zip(blocks, caches[1:]):
+            x = cache[0]
+            out, got = block.forward(x)
+            ref_out, ref = reference_block_forward(block, x)
+            assert np.array_equal(out, ref_out)
+            assert len(got) == len(ref)
+            for g, r in zip(got, ref):
+                assert g.shape == r.shape and np.array_equal(g, r)
+
+    def test_truncation_matches_full_backward(self):
+        m = TinyAttentionLM(vocab_size=20, d_model=8, depth=2, context=8, seed=6)
+        batch = lm_batch()
+        full = full_gradient(m, batch)
+        names = [t.name for t in m.tensors()]
+        rng = np.random.default_rng(4)
+        for _ in range(8):
+            active = [n for n in names if rng.random() < 0.5]
+            got = backward_truncated(m, batch, active)
+            assert set(got) == set(active)
+            for n in active:
+                assert np.max(np.abs(got[n] - full[n])) <= 1e-12
+
+    def test_alternating_sequence_lengths(self):
+        m = TinyAttentionLM(vocab_size=20, d_model=8, depth=2, context=8, seed=7)
+        short, full_len = lm_batch(T=5, seed=1), lm_batch(T=8, seed=1)
+        first = (forward(m, short), forward(m, full_len))
+        for _ in range(2):
+            assert (forward(m, short), forward(m, full_len)) == first
+        g = full_gradient(m, short)
+        forward(m, full_len)
+        rng = np.random.default_rng(1)
+        tensors = m.tensors()
+        h = 1e-5
+        for _ in range(30):
+            t = tensors[rng.integers(len(tensors))]
+            i = int(rng.integers(t.size))
+            orig = t.data[i]
+            t.data[i] = orig + h
+            lp = forward(m, short)
+            t.data[i] = orig - h
+            lm = forward(m, short)
+            t.data[i] = orig
+            assert rel_err(g[t.name][i], (lp - lm) / (2 * h)) <= 1e-5
+
+
 class TestCostModel:
     def test_quadratic_element_count_convention(self):
         m = QuadraticModel(blocks=((10, 1.0, 0.0),), seed=0)
