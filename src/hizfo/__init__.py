@@ -52,7 +52,6 @@ from .theory import (
     QuarticObjective,
     RateResult,
     TheoryRunSpec,
-    bias_dimension_sweep,
     descent_inequality_check,
     estimator_bias_sq,
     estimator_mean,

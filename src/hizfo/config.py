@@ -16,12 +16,12 @@ from .models import LayeredModel, MLPModel, QuadraticModel, RosenbrockModel, Tin
 from .optimizer import ALGORITHMS, OptimizerConfig
 from .tensors import ConfigurationError
 
-# section -> key -> (type tag, default)   type tags: s str, i int, f float,
-# oi optional int, of optional float, os optional str
+# section -> key -> (type tag, default)   type tags: s str, i int, n int >= 0,
+# p int >= 1, f float, oi optional int, of optional float, os optional str
 _SCHEMA = {
     "model": {
         "kind": ("s", "mlp"),
-        "seed": ("i", 0),
+        "seed": ("n", 0),
         "hidden_dims": ("s", "16"),
         "input_dim": ("i", 2),
         "output_dim": ("i", 2),
@@ -33,12 +33,12 @@ _SCHEMA = {
     },
     "task": {
         "dataset": ("s", "two_moons"),
-        "batch_size": ("i", 64),
-        "train_batches": ("i", 16),
-        "eval_batches": ("i", 4),
+        "batch_size": ("p", 64),
+        "train_batches": ("p", 16),
+        "eval_batches": ("p", 4),
         "noise": ("f", 0.15),
         "corpus_path": ("os", None),
-        "data_seed": ("i", 0),
+        "data_seed": ("n", 0),
     },
     "optimizer": {
         "algorithm": ("s", "hizfo"),
@@ -62,10 +62,11 @@ _SCHEMA = {
         "warmup_lr": ("of", None),
     },
     "run": {
-        "master_seed": ("i", 0),
+        "master_seed": ("n", 0),
         "out_dir": ("s", "runs/out"),
     },
 }
+_LOWER = {"n": 0, "p": 1}  # the least value of each bounded integer tag
 
 
 @dataclass
@@ -78,6 +79,9 @@ class ExperimentConfig:
     def set(self, section: str, key: str, value) -> None:
         if (section, key) not in self.values:
             raise ConfigurationError(f"unknown config key [{section}] {key}")
+        low = _LOWER.get(_SCHEMA[section][key][0])
+        if low is not None and value < low:
+            raise ConfigurationError(f"[{section}] {key} must be >= {low}, got {value}")
         self.values[(section, key)] = value
 
     # resolved accessors -------------------------------------------------
@@ -119,7 +123,7 @@ def _convert(tag: str, raw: str, where: str):
     if tag in ("oi", "of", "os") and raw == "":
         return None
     try:
-        if tag in ("i", "oi"):
+        if tag in ("i", "n", "p", "oi"):
             return int(raw)
         if tag in ("f", "of"):
             return float(raw)
@@ -142,7 +146,7 @@ def parse_config(text: str) -> ExperimentConfig:
             if key not in _SCHEMA[section]:
                 raise ConfigurationError(f"unknown config key [{section}] {key}")
             tag = _SCHEMA[section][key][0]
-            cfg.values[(section, key)] = _convert(tag, raw, f"[{section}] {key}")
+            cfg.set(section, key, _convert(tag, raw, f"[{section}] {key}"))
     return cfg
 
 
@@ -221,7 +225,7 @@ def build_data(cfg: ExperimentConfig, model: LayeredModel):
     seed = cfg.get("task", "data_seed")
     if dataset == "analytic":
         dummy = model.dummy_batch()
-        return [dummy] * max(n_train, 1), [dummy] * max(n_eval, 1)
+        return [dummy] * n_train, [dummy] * n_eval
     if dataset == "two_moons":
         noise = cfg.get("task", "noise")
         train = two_moons_batches(n_train, bs, noise=noise, seed=seed)

@@ -25,6 +25,7 @@ equals the sum of all per-tensor entries exactly.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,13 +43,17 @@ class CostEntry:
 
 
 class CostModel:
-    """Per-tensor backward/forward FLOPs, ordered output-first."""
+    """Per-tensor backward/forward FLOPs, ordered output-first, and the one
+    owner of the subset-cost rule that the planner and the tally share."""
 
     def __init__(self, entries: list[CostEntry]):
         self.entries = list(entries)
-        self.by_name = {e.name: e for e in self.entries}
-        if len(self.by_name) != len(self.entries):
+        self.index = {e.name: k for k, e in enumerate(self.entries)}
+        if len(self.index) != len(self.entries):
             raise ConfigurationError("duplicate tensor names in cost model")
+        self.grad = [e.grad_flops for e in self.entries]
+        # cumprop[k]: propagation through every layer down to and including entry k's layer
+        self.cumprop = list(itertools.accumulate(e.prop_flops for e in self.entries))
         self.total_backward_flops = int(sum(e.grad_flops + e.prop_flops for e in self.entries))
         self.total_forward_flops = int(sum(e.fwd_flops for e in self.entries))
 
@@ -63,15 +68,14 @@ class CostModel:
         including the deepest selected tensor's layer.
         """
         selected = set(selected)
-        unknown = selected - self.by_name.keys()
+        unknown = selected - self.index.keys()
         if unknown:
             raise ConfigurationError(f"unknown tensors in subset: {sorted(unknown)}")
         if not selected:
             return 0
-        last = max(i for i, e in enumerate(self.entries) if e.name in selected)
-        cost = sum(e.prop_flops for e in self.entries[: last + 1])
-        cost += sum(self.by_name[n].grad_flops for n in selected)
-        return int(cost)
+        # a plain loop: a numpy gather costs more than the sum on these sizes
+        pos = [self.index[n] for n in selected]
+        return int(self.cumprop[max(pos)] + sum(self.grad[k] for k in pos))
 
     def to_dict(self) -> dict:
         return {
@@ -104,14 +108,16 @@ def _init_dense(rng, fan_in, fan_out):
 
 
 class LayeredModel:
-    """Base class: ordered layers (output-nearest first) over ParamTensors."""
+    """Base class: ordered layers (output-nearest first) over ParamTensors,
+    each layer pricing its tensors with ``cost_entries(layer_index, B, T)``."""
 
     kind = "base"
     loss_kind = "analytic"
+    context = 1  # the sequence length plans are made at; models without one read T = 1
 
     def __init__(self):
         self.tally = FlopsTally()
-        self._cost_cache: dict[int, CostModel] = {}
+        self._cost_cache: dict[tuple[int, int], CostModel] = {}
 
     def _register(self, layers_output_first):
         self.layers = layers_output_first
@@ -141,14 +147,19 @@ class LayeredModel:
     def _backward(self, batch, cache, active: set):  # -> dict name -> grad
         raise NotImplementedError
 
-    def cost_model(self, batch_size: int) -> CostModel:
-        batch_size = int(batch_size)
-        if batch_size not in self._cost_cache:
-            self._cost_cache[batch_size] = self._cost_model(batch_size)
-        return self._cost_cache[batch_size]
+    def cost_model(self, batch_size: int, T: int | None = None) -> CostModel:
+        """FLOPs of one batch of `batch_size` sequences of length `T`, the
+        model's context by default; built once per (B, T)."""
+        key = (int(batch_size), self.context if T is None else int(T))
+        if key not in self._cost_cache:
+            self._cost_cache[key] = CostModel(
+                [e for li, layer in enumerate(self.layers) for e in layer.cost_entries(li, *key)]
+            )
+        return self._cost_cache[key]
 
-    def _cost_model(self, batch_size: int) -> CostModel:
-        raise NotImplementedError
+    def _batch_cost(self, batch: Batch) -> CostModel:
+        """The cost model at the batch's own (B, T); T = 1 without a context."""
+        return self.cost_model(batch.size, batch.inputs.shape[1] if self.context > 1 else 1)
 
     def forward(self, batch: Batch) -> float:
         loss, _ = self.forward_with_cache(batch)
@@ -161,7 +172,7 @@ class LayeredModel:
             loss, cache = self._forward(batch)
         if not np.isfinite(loss):
             raise NumericOverflowError("non-finite loss", 0)
-        self.tally.forward += self.cost_model(batch.size).total_forward_flops
+        self.tally.forward += self._batch_cost(batch).total_forward_flops
         return float(loss), cache
 
     def backward_from_cache(self, batch: Batch, cache, active) -> dict:
@@ -169,7 +180,7 @@ class LayeredModel:
         if not active:
             return {}
         # the subset cost rejects unknown names before any backward work
-        flops = self.cost_model(batch.size).subset_backward_flops(active)
+        flops = self._batch_cost(batch).subset_backward_flops(active)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             grads = self._backward(batch, cache, active)
         self.tally.backward += flops
@@ -183,11 +194,6 @@ class _AnalyticModel(LayeredModel):
 
     def dummy_batch(self) -> Batch:
         return Batch(np.zeros((1, 1)), np.zeros((1, 1)))
-
-    def _cost_model(self, batch_size: int) -> CostModel:
-        return CostModel(
-            [CostEntry(t.name, t.layer_index, t.size, 0, t.size) for t in self._tensors]
-        )
 
 
 class QuadraticModel(_AnalyticModel):
@@ -262,12 +268,15 @@ class _AnalyticLayer:
     def __init__(self, tensors):
         self.tensors = tensors
 
+    def cost_entries(self, layer_index, batch, T):
+        return [CostEntry(t.name, layer_index, t.size, 0, t.size) for t in self.tensors]
+
 
 class _SequentialModel(LayeredModel):
     """Layers run one after another from the input to the loss head.
 
-    Subclasses check and convert the batch inputs in ``_inputs`` and build
-    their cost model; the layer walk and the cross-entropy loss are shared.
+    Subclasses check and convert the batch inputs in ``_inputs``; the layer
+    walk and the cross-entropy loss are shared.
     """
 
     loss_kind = "cross_entropy"
@@ -336,7 +345,7 @@ class _DenseLayer:
         g_in = g_pre @ W.view().T
         return grads, g_in
 
-    def cost_entries(self, layer_index, batch):
+    def cost_entries(self, layer_index, batch, T):  # a dense layer sees no sequence axis
         mw = 2 * batch * self.fan_in * self.fan_out
         W, b = self.tensors
         return [
@@ -380,11 +389,6 @@ class MLPModel(_SequentialModel):
         diff = logits - np.asarray(batch.targets, dtype=np.float64).reshape(logits.shape)
         return 0.5 * float((diff * diff).sum()) / B, diff / B
 
-    def _cost_model(self, batch_size: int) -> CostModel:
-        entries = []
-        for li, layer in enumerate(self.layers):
-            entries.extend(layer.cost_entries(li, batch_size))
-        return CostModel(entries)
 
 
 class _EmbeddingLayer:
@@ -466,9 +470,9 @@ def _future_mask(T):
 class _AttentionBlock:
     """Single-head causal attention plus a tanh MLP, both with residuals."""
 
-    def __init__(self, name, d_model, d_ff, rng):
+    def __init__(self, name, d_model, rng):
         self.d_model = d_model
-        self.d_ff = d_ff
+        self.d_ff = d_ff = 4 * d_model
         mk = lambda n, fi, fo: ParamTensor(f"{name}.{n}", (fi, fo), _init_dense(rng, fi, fo))
         self.tensors = [
             mk("wq", d_model, d_model),
@@ -573,7 +577,7 @@ class TinyAttentionLM(_SequentialModel):
 
     kind = "attention_lm"
 
-    def __init__(self, vocab_size=64, d_model=16, depth=2, context=16, d_ff=None, seed=0):
+    def __init__(self, vocab_size=64, d_model=16, depth=2, context=16, seed=0):
         super().__init__()
         if vocab_size > 64:
             raise ConfigurationError("vocab_size is capped at 64")
@@ -583,10 +587,9 @@ class TinyAttentionLM(_SequentialModel):
         self.d_model = int(d_model)
         self.depth = int(depth)
         self.context = int(context)
-        self.d_ff = int(d_ff) if d_ff else 4 * self.d_model
         rng = np.random.default_rng(seed)
         embed = _EmbeddingLayer(self.vocab_size, self.context, self.d_model, rng)
-        blocks = [_AttentionBlock(f"block{i}", self.d_model, self.d_ff, rng) for i in range(self.depth)]
+        blocks = [_AttentionBlock(f"block{i}", self.d_model, rng) for i in range(self.depth)]
         head = _HeadLayer(self.d_model, self.vocab_size, rng)
         # output-first: head, blocks in reverse execution order, embedding
         self._register([head] + blocks[::-1] + [embed])
@@ -600,13 +603,6 @@ class TinyAttentionLM(_SequentialModel):
         if tokens.min() < 0 or tokens.max() >= self.vocab_size:
             raise ConfigurationError("token id out of vocabulary range")
         return tokens
-
-    def _cost_model(self, batch_size: int) -> CostModel:
-        T = self.context
-        entries = []
-        for li, layer in enumerate(self.layers):
-            entries.extend(layer.cost_entries(li, batch_size, T))
-        return CostModel(entries)
 
 
 def forward(model: LayeredModel, batch: Batch) -> float:
@@ -625,7 +621,7 @@ def backward_truncated(model: LayeredModel, batch: Batch, active) -> dict:
 
 
 def flops_profile(model: LayeredModel, batch_size: int = 1) -> CostModel:
-    """Deterministic cost model at the given reference batch size."""
+    """Deterministic cost model at a reference batch size and the model's context."""
     return model.cost_model(int(batch_size))
 
 

@@ -3,11 +3,12 @@
 One hybrid step runs two forward passes: a clean pass giving the reference
 loss and a pass with the ZO parameters perturbed in place by seeded
 gaussian noise. First-order tensors are updated with the gradient of
-``L_clean + alpha * L_perturbed`` (the perturbed term back-propagated
-through the perturbed activations), zeroth-order tensors with the scaled
-finite-difference direction ``(L_perturbed - L_clean) / eps * u``. The
-noise is never stored: perturbing, restoring, and updating all regenerate
-it from the per-step seed.
+``L_clean + alpha * L_perturbed``, zeroth-order tensors with the scaled
+finite-difference direction ``(L_perturbed - L_clean) / eps * u``. Each
+probe perturbs, runs its forward and its truncated backward, and only then
+restores, so the alpha term is the true gradient of the perturbed loss.
+The noise is never stored: perturbing, restoring, and updating all
+regenerate it from the per-step seed.
 
 ``backward_flops`` in a step record is what the model tally counts for the
 step's clean truncated backward over the FO set, the budget-comparable
@@ -21,7 +22,7 @@ import functools
 import json
 import operator
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -168,14 +169,15 @@ def hizfo_step(
         except NumericOverflowError:
             add_scaled_noise(zo_arrays, seed, -eps)  # put the ZO parameters back before aborting
             return _diverged(step_index, model, fwd_before, t0, loss_clean, float("nan"))
-        add_scaled_noise(zo_arrays, seed, -eps)
         losses.append(loss_pert)
         if cfg.alpha != 0.0 and fo_names:
+            # still perturbed: layers read their weights at backward time
             for name, g in model.backward_from_cache(batch, cache_pert, fo_names).items():
                 if name in grads_pert:
                     grads_pert[name] += g
                 else:
                     grads_pert[name] = g
+        add_scaled_noise(zo_arrays, seed, -eps)
 
     n = len(seeds)
     for name, g in grads_pert.items():
@@ -275,8 +277,8 @@ class RunReport:
     wall_total_ns: int = 0
     memory_proxy: dict = field(default_factory=dict)
 
-    def to_dict(self, include_records: bool = False) -> dict:
-        d = {
+    def to_dict(self) -> dict:
+        return {
             "algorithm": self.algorithm,
             "steps_run": self.steps_run,
             "diverged": self.diverged,
@@ -287,9 +289,6 @@ class RunReport:
             "memory_proxy": self.memory_proxy,
             "wall_total_ns": self.wall_total_ns,
         }
-        if include_records:
-            d["records"] = [asdict(r) for r in self.records]
-        return d
 
     def save_json(self, path) -> None:
         with open(path, "w") as f:

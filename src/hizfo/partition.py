@@ -40,7 +40,6 @@ class PartitionPlan:
     budget_flops: float
     consumed_flops: int
     achieved_importance: float
-    quantization_buckets: int
     warning: str | None = None
 
     def to_dict(self) -> dict:
@@ -84,12 +83,11 @@ def solve_dp(profile: ImportanceProfile, cost: CostModel, rho: float, buckets: i
         # the budget equals the full backward cost, which no subset exceeds,
         # so the constraint is vacuous and quantization plays no part
         fo = [names[k] for k in range(n) if scores[k] > 0.0]
-        return _finish(profile, cost, rho, buckets, fo, warning=None)
+        return _finish(profile, cost, rho, fo, warning=None)
 
-    grad = np.array([e.grad_flops for e in cost.entries], dtype=np.float64)
-    prop = np.array([e.prop_flops for e in cost.entries], dtype=np.float64)
-    cumprop = np.cumsum(prop)  # cumprop[k]: propagation down to and including entry k
-    if np.all(grad == np.round(grad)) and np.all(prop == np.round(prop)) and total <= buckets:
+    grad = np.array(cost.grad, dtype=np.float64)
+    cumprop = np.array(cost.cumprop, dtype=np.float64)
+    if np.all(grad == np.round(grad)) and np.all(cumprop == np.round(cumprop)) and total <= buckets:
         # integer FLOPs that already fit on the budget axis: run the DP on
         # unit-cost cells, which is exact (rounding up is a no-op)
         bucket = 1.0
@@ -134,10 +132,10 @@ def solve_dp(profile: ImportanceProfile, cost: CostModel, rho: float, buckets: i
     warning = None
     if not fo and not np.any(cells(grad + cumprop) <= qbudget):
         warning = "budget_below_min_cost"
-    return _finish(profile, cost, rho, buckets, fo, warning)
+    return _finish(profile, cost, rho, fo, warning)
 
 
-def _finish(profile, cost, rho, buckets, fo, warning) -> PartitionPlan:
+def _finish(profile, cost, rho, fo, warning) -> PartitionPlan:
     names = cost.names()
     fo_ordered = [name for name in names if name in set(fo)]
     zo = [name for name in names if name not in set(fo)]
@@ -148,7 +146,6 @@ def _finish(profile, cost, rho, buckets, fo, warning) -> PartitionPlan:
         budget_flops=rho * cost.total_backward_flops,
         consumed_flops=cost.subset_backward_flops(fo_ordered),
         achieved_importance=float(sum(profile.scores[name] for name in fo_ordered)),
-        quantization_buckets=buckets,
         warning=warning,
     )
 
@@ -167,15 +164,14 @@ def brute_force_select(profile: ImportanceProfile, cost: CostModel, rho: float) 
     if n > 20:
         raise ConfigurationError(f"brute force refuses {n} tensors (limit 20)")
     budget = rho * cost.total_backward_flops
-    grad = np.array([e.grad_flops for e in cost.entries], dtype=np.float64)
-    prop = np.array([e.prop_flops for e in cost.entries], dtype=np.float64)
-    cumprop = np.concatenate([[0.0], np.cumsum(prop)])
+    grad = np.array(cost.grad, dtype=np.float64)
+    cumprop = np.array(cost.cumprop, dtype=np.float64)
     scores = np.array([profile.scores[name] for name in names])
 
     best = (0.0, 0.0, 0, ())  # (importance, -cost, -popcount) maximized
     for mask in range(1, 1 << n):
         idx = [k for k in range(n) if mask >> k & 1]
-        c = grad[idx].sum() + cumprop[max(idx) + 1]
+        c = grad[idx].sum() + cumprop[max(idx)]
         if c > budget:
             continue
         imp = float(scores[idx].sum())
@@ -183,7 +179,7 @@ def brute_force_select(profile: ImportanceProfile, cost: CostModel, rho: float) 
         if key > (best[0], best[1], best[2]):
             best = (imp, -c, -len(idx), tuple(idx))
     fo = [names[k] for k in best[3]]
-    return _finish(profile, cost, rho, 0, fo, warning=None)
+    return _finish(profile, cost, rho, fo, warning=None)
 
 
 def apply_plan(model: LayeredModel, plan: PartitionPlan) -> None:
@@ -202,4 +198,4 @@ def apply_plan(model: LayeredModel, plan: PartitionPlan) -> None:
 
 def full_fo_plan(profile: ImportanceProfile, cost: CostModel) -> PartitionPlan:
     """Everything first-order; the trivial plan used by the full-FO baseline."""
-    return _finish(profile, cost, 1.0, 0, list(cost.names()), warning=None)
+    return _finish(profile, cost, 1.0, list(cost.names()), warning=None)

@@ -11,7 +11,6 @@ import numpy as np
 class Role(IntEnum):
     FO = 0      # updated with exact backpropagated gradients
     ZO = 1      # updated with finite-difference estimates
-    FROZEN = 2  # never updated
 
 
 class ConfigurationError(ValueError):

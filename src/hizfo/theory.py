@@ -15,7 +15,6 @@ the O(mu^2) bias signal at small mu.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -123,48 +122,11 @@ def estimator_second_moment(objective, theta, mu, n_samples, seed=0, d_zo=None):
     return float(np.mean(np.sum(ghat * ghat, axis=1)))
 
 
-def bias_dimension_sweep(
-    d_list=(4, 16, 64, 256),
-    mu_list=(1e-1, 1e-2, 1e-3, 1e-4),
-    n_samples=100_000,
-    seed=0,
-    objective_factory=None,
-):
-    """Bias surface over (d_zo, mu) for a smooth non-quadratic objective.
-
-    Returns rows (d_zo, mu, bias_sq). No exponent in d_zo is asserted; the
-    surface is reported raw.
-    """
-    rows = []
-    for i, d in enumerate(d_list):
-        objective = objective_factory(d) if objective_factory else QuarticObjective()
-        theta = np.full(d, 0.5)
-        for j, mu in enumerate(mu_list):
-            b = estimator_bias_sq(objective, theta, mu, n_samples, seed=step_seed(seed, i * 1000 + j))
-            rows.append((int(d), float(mu), b))
-    return rows
-
-
-def save_bias_sweep_csv(path, rows) -> None:
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["d_zo", "mu", "bias_sq"])
-        for d, mu, b in rows:
-            w.writerow([d, repr(mu), repr(b)])
-
-
 @dataclass
 class RateResult:
     rows: list = field(default_factory=list)   # (T, min_grad_sq, diverged)
     slope: float = 0.0
     intercept: float = 0.0
-
-    def save_csv(self, path) -> None:
-        with open(path, "w", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(["T", "min_grad_sq", "diverged", "fit_slope", "fit_intercept"])
-            for T, v, div in self.rows:
-                w.writerow([T, repr(v), int(div), repr(self.slope), repr(self.intercept)])
 
 
 def hybrid_run_min_grad_sq(spec: TheoryRunSpec, T: int) -> tuple[float, bool]:

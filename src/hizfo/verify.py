@@ -90,7 +90,7 @@ def suite_restore_exactness(fast=False, corrupt_restore=False) -> SuiteResult:
     model = MLPModel(dims=(2, 16, 2), seed=1)
     batches = two_moons_batches(4, 32, seed=3)
     names = [t.name for t in model.tensors()]
-    plan = PartitionPlan(names[:2], names[2:], 0.5, 0.0, 0, 0.0, 10)
+    plan = PartitionPlan(names[:2], names[2:], 0.5, 0.0, 0, 0.0)
     apply_plan(model, plan)
     cfg = OptimizerConfig(eta_fo=0.05, eta_zo=0.005, epsilon=1e-3, master_seed=5)
     eps = cfg.epsilon

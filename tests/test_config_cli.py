@@ -43,6 +43,35 @@ out_dir = {out}
 """
 
 
+LM_CFG = """
+[model]
+kind = attention_lm
+d_model = 8
+depth = 1
+context = 8
+
+[task]
+dataset = char_corpus
+batch_size = 4
+train_batches = 2
+eval_batches = 2
+corpus_path = {corpus}
+
+[optimizer]
+max_steps = 5
+
+[run]
+out_dir = {out}
+"""
+
+
+def with_value(text, section, key, value):
+    """`text` with [section] `key` set to `value` and no other line for it."""
+    lines = [line for line in text.splitlines() if not line.startswith(f"{key} =")]
+    at = lines.index(f"[{section}]") + 1
+    return "\n".join(lines[:at] + [f"{key} = {value}"] + lines[at:]) + "\n"
+
+
 def strip_wall(path):
     """CSV bytes with wall-clock columns removed."""
     with open(path, newline="") as f:
@@ -305,6 +334,32 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and err.count("\n") == 1
         assert taken.read_text() == "not a directory"
+
+    @pytest.mark.parametrize("dataset", ["two_moons", "char_corpus"])
+    @pytest.mark.parametrize("section,key,value", [
+        ("task", "batch_size", "0"),
+        ("task", "train_batches", "0"),
+        ("task", "eval_batches", "0"),
+        ("model", "seed", "-1"),
+        ("task", "data_seed", "-1"),
+        ("run", "master_seed", "-1"),
+        (None, "--seed", "-1"),
+    ])
+    def test_zero_count_or_negative_seed_is_config_error(self, tmp_path, capsys, monkeypatch,
+                                                         dataset, section, key, value):
+        self.forbid_runs(monkeypatch)
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("the cat sat on the mat " * 20)
+        out = tmp_path / "out"
+        text = MLP_CFG.format(out=out) if dataset == "two_moons" else LM_CFG.format(corpus=corpus, out=out)
+        argv = [key, value] if section is None else []
+        if section is not None:
+            text = with_value(text, section, key, value)
+        cfg = self.write_cfg(tmp_path, text)
+        assert self.run_cli("train", "--config", str(cfg), *argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert not out.exists()
 
     def test_report_json_that_is_a_directory_is_config_error(self, tmp_path, capsys):
         (tmp_path / "report.json").mkdir()

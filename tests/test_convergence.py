@@ -12,7 +12,7 @@ def test_rosenbrock_hybrid_reaches_valley_floor():
     # regression threshold frozen from the tuned run: loss < 1e-2 well
     # within a 50k-step budget (hits around step 13k at these rates)
     model = RosenbrockModel()
-    apply_plan(model, PartitionPlan(["x"], ["y"], 0.5, 0.0, 0, 0.0, 10))
+    apply_plan(model, PartitionPlan(["x"], ["y"], 0.5, 0.0, 0, 0.0))
     cfg = OptimizerConfig(eta_fo=2e-3, eta_zo=2e-4, epsilon=1e-3, alpha=0.1, master_seed=1)
     updater = FoUpdater(cfg)
     batch = model.dummy_batch()

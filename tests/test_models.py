@@ -244,7 +244,7 @@ class TestCostModel:
         batch = 16
         m = MLPModel(dims=(2, 16, 2), seed=0)
         cm = flops_profile(m, batch)
-        by = cm.by_name
+        by = {e.name: e for e in cm.entries}
         # output-nearest dense layer: fan_in 16, fan_out 2
         assert by["layer0.weight"].grad_flops == 2 * 16 * 2 * batch
         assert by["layer0.weight"].prop_flops == 2 * 16 * 2 * batch
@@ -282,11 +282,24 @@ class TestCostModel:
             assert delta >= prev
             prev = delta
 
+    def test_tally_charges_each_batch_at_its_own_length(self):
+        # a context-16 model: plans price full-context batches, but a batch
+        # of shorter sequences runs, and is charged, at its own (B, T)
+        m = TinyAttentionLM(vocab_size=20, d_model=8, depth=2, context=16, seed=0)
+        tallies = {}
+        for T in (4, 16):
+            fwd, bwd = m.tally.forward, m.tally.backward
+            full_gradient(m, lm_batch(batch=4, T=T))
+            tallies[T] = (m.tally.forward - fwd, m.tally.backward - bwd)
+        for T, cost in ((4, m.cost_model(4, 4)), (16, m.cost_model(4))):
+            assert tallies[T] == (cost.total_forward_flops, cost.total_backward_flops)
+        assert tallies[4][0] < tallies[16][0] and tallies[4][1] < tallies[16][1]
+
     def test_roles_do_not_change_costs(self):
         m = MLPModel(dims=(2, 16, 2), seed=0)
         t1 = flops_profile(m, 8).total_backward_flops
         for t in m.tensors():
-            t.role = Role.FROZEN
+            t.role = Role.ZO
         assert flops_profile(m, 8).total_backward_flops == t1
 
 

@@ -7,7 +7,7 @@ import pytest
 
 from hizfo import optimizer
 from hizfo.datasets import two_moons_batches
-from hizfo.models import MLPModel, QuadraticModel, RosenbrockModel
+from hizfo.models import MLPModel, QuadraticModel, RosenbrockModel, TinyAttentionLM, backward_truncated
 from hizfo.optimizer import (
     STEP_CSV_COLUMNS,
     FoUpdater,
@@ -20,6 +20,7 @@ from hizfo.optimizer import (
     write_step_csv,
 )
 from hizfo.partition import PartitionPlan, apply_plan
+from hizfo.rng import regenerate_noise, step_seed
 from hizfo.tensors import Batch, ConfigurationError, NumericOverflowError, Role
 
 
@@ -33,7 +34,7 @@ def one_d_quadratic(theta=1.0, role=Role.ZO):
 def mlp_with_split(seed=1, dims=(2, 16, 2)):
     m = MLPModel(dims=dims, seed=seed)
     names = [t.name for t in m.tensors()]
-    plan = PartitionPlan(names[:2], names[2:], 0.5, 0.0, 0, 0.0, 10)
+    plan = PartitionPlan(names[:2], names[2:], 0.5, 0.0, 0, 0.0)
     apply_plan(m, plan)
     return m, plan
 
@@ -146,6 +147,39 @@ class TestHizfoStep:
         diff = max(np.max(np.abs(g_clean[n] - g_pert[n])) for n in fo_names)
         assert diff > 0.0  # the perturbed tape sees different activations
 
+    def test_alpha_term_is_gradient_of_perturbed_loss(self):
+        # FO tensors in the head and the input-side block: the output-side
+        # block's ZO tensors lie on the path the alpha term propagates through
+        def lm():
+            m = TinyAttentionLM(vocab_size=12, d_model=8, depth=2, context=8, seed=4)
+            fo = {"head.weight", "block0.w1", "block0.b1"}
+            for t in m.tensors():
+                t.role = Role.FO if t.name in fo else Role.ZO
+            return m, [t.name for t in m.tensors() if t.name in fo]
+
+        rng = np.random.default_rng(2)
+        batch = Batch(rng.integers(0, 12, (3, 8)), rng.integers(0, 12, (3, 8)))
+        cfg = OptimizerConfig(**CFG)
+        ref, fo_names = lm()
+        g_clean = backward_truncated(ref, batch, fo_names)
+        zo = ref.tensors_with_role(Role.ZO)
+        us = regenerate_noise([t.data.shape for t in zo], step_seed(cfg.master_seed, 3))
+        for t, u in zip(zo, us):
+            t.data += cfg.epsilon * u
+        g_pert = backward_truncated(ref, batch, fo_names)
+
+        class Capture(FoUpdater):
+            def apply(self, tensors, grads):
+                self.grads = {t.name: grads[t.name].copy() for t in tensors}
+                super().apply(tensors, grads)
+
+        m, _ = lm()
+        captured = Capture(cfg)
+        hizfo_step(m, batch, cfg, 3, fo_updater=captured)
+        want = np.concatenate([g_clean[n] + cfg.alpha * g_pert[n] for n in fo_names])
+        got = np.concatenate([captured.grads[n] for n in fo_names])
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
     def test_backward_flops_field_is_fo_accounting(self):
         m, plan = mlp_with_split()
         batch = two_moons_batches(1, 32, seed=3)[0]
@@ -246,7 +280,7 @@ class TestBaselines:
         m1 = MLPModel(dims=(2, 16, 2), seed=4)
         m2 = MLPModel(dims=(2, 16, 2), seed=4)
         names = [t.name for t in m1.tensors()]
-        plan = PartitionPlan(names, [], 1.0, 0.0, 0, 0.0, 10)
+        plan = PartitionPlan(names, [], 1.0, 0.0, 0, 0.0)
         batch = two_moons_batches(1, 32, seed=3)[0]
         cfg = OptimizerConfig(eta_fo=0.05, eta_zo=1e-6, epsilon=1e-3, master_seed=5)
         baseline_step_frozen_subset(m1, batch, cfg, plan)
@@ -391,7 +425,7 @@ class TestTrain:
         # overflows, which must stop the run and flag the report
         m = QuadraticModel(blocks=((2, 1.0, 0.0), (2, 1.0, 0.0)), seed=0)
         names = [t.name for t in m.tensors()]
-        plan = PartitionPlan(names[:1], names[1:], 0.5, 0.0, 0, 0.0, 10)
+        plan = PartitionPlan(names[:1], names[1:], 0.5, 0.0, 0, 0.0)
         cfg = OptimizerConfig(eta_fo=1e18, eta_zo=1e17, epsilon=1e-3, alpha=0.1,
                               master_seed=0, max_steps=200)
         report = train(m, [m.dummy_batch()], cfg, plan, "hizfo",

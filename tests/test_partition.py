@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hizfo.datasets import CharCorpus, two_moons_batches
 from hizfo.importance import ImportanceProfile, estimate_importance
@@ -147,6 +149,39 @@ class TestSolveDp:
             solve_dp(prof, cost, 0.5, buckets=100)
 
 
+# integer instances of up to 10 tensors: (grad_flops, prop_flops, importance)
+INSTANCES = st.lists(st.tuples(st.integers(1, 50), st.integers(0, 20), st.integers(-5, 20)),
+                     min_size=1, max_size=10)
+PROPERTY = settings(derandomize=True, database=None, max_examples=150, deadline=None)
+
+
+def instance(rows):
+    prof = profile_of({f"t{i}": float(s) for i, (_, _, s) in enumerate(rows)})
+    return prof, CostModel([CostEntry(f"t{i}", i, g, p, 0) for i, (g, p, _) in enumerate(rows)])
+
+
+class TestProperties:
+    @PROPERTY
+    @given(INSTANCES, st.integers(1, 64))
+    def test_dp_equals_brute_force(self, rows, k):
+        # rho = k/64 keeps rho * T_full exact, so both see the same budget
+        prof, cost = instance(rows)
+        dp = solve_dp(prof, cost, k / 64, buckets=10_000)
+        bf = brute_force_select(prof, cost, k / 64)
+        assert (dp.achieved_importance, dp.consumed_flops) == (bf.achieved_importance, bf.consumed_flops)
+        assert dp.consumed_flops <= dp.budget_flops
+
+    @PROPERTY
+    @given(INSTANCES, st.data())
+    def test_subset_cost_is_grads_plus_propagation_to_deepest(self, rows, data):
+        _, cost = instance(rows)
+        subset = data.draw(st.sets(st.integers(0, len(rows) - 1)))
+        want = sum(rows[k][0] for k in subset)
+        if subset:
+            want += sum(p for _, p, _ in rows[: max(subset) + 1])
+        assert cost.subset_backward_flops([f"t{k}" for k in subset]) == want
+
+
 class TestGoldenPlans:
     """Plans of real cost models. The values come from an independent DP that
     scans every nearest selected predecessor (O(N^2 * buckets)), so any
@@ -209,7 +244,7 @@ class TestCostAudit:
 
 class TestApplyPlan:
     def plan(self, fo, zo):
-        return PartitionPlan(fo, zo, 0.5, 0.0, 0, 0.0, 10)
+        return PartitionPlan(fo, zo, 0.5, 0.0, 0, 0.0)
 
     def test_roles_assigned(self):
         m = MLPModel(dims=(2, 16, 2), seed=0)

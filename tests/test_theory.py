@@ -4,7 +4,6 @@ from hizfo.theory import (
     QuadraticObjective,
     QuarticObjective,
     TheoryRunSpec,
-    bias_dimension_sweep,
     descent_inequality_check,
     estimator_bias_sq,
     estimator_mean,
@@ -68,12 +67,9 @@ class TestRateExperiment:
         ]))
         assert med(1.0) >= med(0.5)
 
-    def test_rows_cover_grid_and_csv(self, tmp_path):
+    def test_rows_cover_grid(self):
         res = rate_experiment(TheoryRunSpec(seed=0), T_grid=(50, 100, 200))
         assert [r[0] for r in res.rows] == [50, 100, 200]
-        res.save_csv(tmp_path / "rate.csv")
-        text = (tmp_path / "rate.csv").read_text()
-        assert text.splitlines()[0] == "T,min_grad_sq,diverged,fit_slope,fit_intercept"
 
 
 class TestDescentAndSweep:
@@ -82,19 +78,3 @@ class TestDescentAndSweep:
             TheoryRunSpec(d_zo=6, d_fo=4, sigma_fo=0.3), n_states=50, seed=2
         )
         assert fails == 0
-
-    def test_bias_surface_shape_and_monotonicity(self, tmp_path):
-        rows = bias_dimension_sweep(d_list=(4, 16), mu_list=(1e-1, 1e-2, 1e-3),
-                                    n_samples=30_000, seed=0)
-        assert len(rows) == 6
-        by_d = {}
-        for d, mu, b in rows:
-            by_d.setdefault(d, []).append((mu, b))
-        for d, pairs in by_d.items():
-            pairs.sort(reverse=True)  # descending mu
-            biases = [b for _, b in pairs]
-            assert biases[0] > biases[-1]  # smaller mu, smaller bias
-        from hizfo.theory import save_bias_sweep_csv
-        save_bias_sweep_csv(tmp_path / "bias.csv", rows)
-        header = (tmp_path / "bias.csv").read_text().splitlines()[0]
-        assert header == "d_zo,mu,bias_sq"
