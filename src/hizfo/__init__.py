@@ -36,7 +36,6 @@ from .optimizer import (
     evaluate,
     hizfo_step,
     train,
-    write_step_csv,
 )
 from .partition import (
     PartitionPlan,

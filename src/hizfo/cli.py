@@ -30,13 +30,36 @@ from .config import (
 )
 from .importance import estimate_importance
 from .models import flops_profile
-from .optimizer import train, write_step_csv
+from .optimizer import StepRecord, train
 from .partition import full_fo_plan, solve_dp
 from .tensors import ConfigurationError, NumericOverflowError
 from .verify import verify_all
 
 SWEEP_AXES = ("rho", "r", "alpha")
 SWEEP_SEEDS = 5
+
+STEP_CSV_COLUMNS = (
+    "step", "L_FO", "L_ZO", "L_total", "fo_grad_norm", "zo_est_norm",
+    "bwd_flops", "fwd_flops", "wall_ns",
+)
+
+
+def _step_row(r: StepRecord) -> tuple:
+    return (r.step, r.L_FO, r.L_ZO, r.L_total, r.fo_grad_norm, r.zo_estimate_norm,
+            r.backward_flops, r.forward_flops, r.wall_ns)
+
+
+# every artifact goes through these two writers: JSON with sorted keys, an
+# indent of 2 and a trailing newline; CSV whose floats csv writes as repr
+def _write_json(path: Path, obj) -> None:
+    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+
+
+def _write_csv(path: Path, header, rows) -> None:
+    with open(path, "w", newline="") as f:
+        w = csv.writer(f)
+        w.writerow(header)
+        w.writerows(rows)
 
 
 def _profile(cfg: ExperimentConfig):
@@ -70,10 +93,12 @@ def _run(cfg: ExperimentConfig):
 def cmd_profile(cfg: ExperimentConfig, out: Path) -> int:
     _, _, _, profile, cost = _profile(cfg)
     out.mkdir(parents=True, exist_ok=True)
-    profile.save_csv(out / "importance.csv")
-    with open(out / "cost_model.json", "w") as f:
-        json.dump(cost.to_dict(), f, indent=2, sort_keys=True)
-        f.write("\n")
+    _write_csv(
+        out / "importance.csv",
+        ("tensor", "layer_index", "raw_importance", "normalized_importance"),
+        ((n, profile.layer_index.get(n, 0), profile.raw_scores[n], s) for n, s in profile.scores.items()),
+    )
+    _write_json(out / "cost_model.json", cost.to_dict())
     print(f"wrote {out / 'importance.csv'} and {out / 'cost_model.json'}")
     return 0
 
@@ -81,7 +106,7 @@ def cmd_profile(cfg: ExperimentConfig, out: Path) -> int:
 def cmd_partition(cfg: ExperimentConfig, out: Path) -> int:
     plan = _plan(cfg)[-1]
     out.mkdir(parents=True, exist_ok=True)
-    plan.save_json(out / "plan.json")
+    _write_json(out / "plan.json", plan.to_dict())
     msg = f"wrote {out / 'plan.json'} (|FO|={len(plan.fo_set)}, |ZO|={len(plan.zo_set)})"
     if plan.warning:
         msg += f" warning: {plan.warning}"
@@ -92,11 +117,10 @@ def cmd_partition(cfg: ExperimentConfig, out: Path) -> int:
 def cmd_train(cfg: ExperimentConfig, out: Path) -> int:
     plan, report = _run(cfg)
     out.mkdir(parents=True, exist_ok=True)
-    plan.save_json(out / "plan.json")
-    report.save_json(out / "report.json")
-    write_step_csv(out / "steps.csv", report.records)
-    with open(out / "config.txt", "w") as f:
-        f.write(serialize_config(cfg))
+    _write_json(out / "plan.json", plan.to_dict())
+    _write_json(out / "report.json", report.to_dict())
+    _write_csv(out / "steps.csv", STEP_CSV_COLUMNS, map(_step_row, report.records))
+    (out / "config.txt").write_text(serialize_config(cfg))
     print(
         f"{cfg.algorithm}: {report.steps_run} steps, final eval loss "
         f"{report.final_eval_loss}, diverged={report.diverged}"
@@ -150,18 +174,14 @@ def cmd_sweep(cfg: ExperimentConfig, out: Path, axis: str, values: list[float]) 
             rows = pool.map(_sweep_worker, jobs)
     rows.sort(key=lambda r: (r["value"], r["seed"]))
     out.mkdir(parents=True, exist_ok=True)
-    cols = ["axis", "value", "seed", "final_eval_loss", "diverged", "steps", "backward_flops"]
-    with open(out / "sweep.csv", "w", newline="") as f:
-        w = csv.DictWriter(f, fieldnames=cols)
-        w.writeheader()
-        w.writerows(rows)
-    with open(out / "sweep_summary.csv", "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["axis", "value", "median_final_eval_loss", "n_diverged", "n_runs"])
-        for v in values:
-            group = [r for r in rows if r["value"] == v]
-            med = statistics.median(r["final_eval_loss"] for r in group)
-            w.writerow([axis, v, repr(med), sum(r["diverged"] for r in group), len(group)])
+    _write_csv(out / "sweep.csv", rows[0].keys(), (r.values() for r in rows))
+    summary = []
+    for v in values:  # as given: a repeated value repeats its row
+        group = [r for r in rows if r["value"] == v]
+        med = statistics.median(r["final_eval_loss"] for r in group)
+        summary.append((axis, v, med, sum(r["diverged"] for r in group), len(group)))
+    header = ("axis", "value", "median_final_eval_loss", "n_diverged", "n_runs")
+    _write_csv(out / "sweep_summary.csv", header, summary)
     print(f"wrote {out / 'sweep.csv'} and {out / 'sweep_summary.csv'} ({len(rows)} runs)")
     return 0
 
@@ -240,7 +260,7 @@ def main(argv=None) -> int:
                 raise ConfigurationError(f"--values must be finite, got {bad[0]!r}")
             return cmd_sweep(cfg, out, args.axis, values)
         return {"profile": cmd_profile, "partition": cmd_partition, "train": cmd_train}[args.command](cfg, out)
-    except (ConfigurationError, FileNotFoundError) as e:
+    except (ConfigurationError, FileNotFoundError, IsADirectoryError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 1
     except NumericOverflowError as e:

@@ -17,26 +17,27 @@ from .optimizer import ALGORITHMS, OptimizerConfig
 from .tensors import ConfigurationError
 
 # section -> key -> (type tag, default)   type tags: s str, i int, n int >= 0,
-# p int >= 1, f float, oi optional int, of optional float, os optional str
+# p int >= 1, f float, nf float >= 0, oi optional int, of optional float,
+# os optional str
 _SCHEMA = {
     "model": {
         "kind": ("s", "mlp"),
         "seed": ("n", 0),
         "hidden_dims": ("s", "16"),
-        "input_dim": ("i", 2),
-        "output_dim": ("i", 2),
+        "input_dim": ("p", 2),
+        "output_dim": ("p", 2),
         "loss": ("s", "cross_entropy"),
         "blocks": ("s", "10:1.0:0.0"),
-        "d_model": ("i", 16),
-        "depth": ("i", 2),
-        "context": ("i", 16),
+        "d_model": ("p", 16),
+        "depth": ("n", 2),
+        "context": ("p", 16),
     },
     "task": {
         "dataset": ("s", "two_moons"),
         "batch_size": ("p", 64),
         "train_batches": ("p", 16),
         "eval_batches": ("p", 4),
-        "noise": ("f", 0.15),
+        "noise": ("nf", 0.15),
         "corpus_path": ("os", None),
         "data_seed": ("n", 0),
     },
@@ -50,7 +51,7 @@ _SCHEMA = {
         "beta1": ("f", 0.9),
         "beta2": ("f", 0.999),
         "weight_decay": ("f", 0.0),
-        "max_steps": ("i", 200),
+        "max_steps": ("n", 200),
         "epochs": ("oi", None),
         "eval_interval": ("i", 50),
         "probes": ("i", 1),
@@ -66,7 +67,7 @@ _SCHEMA = {
         "out_dir": ("s", "runs/out"),
     },
 }
-_LOWER = {"n": 0, "p": 1}  # the least value of each bounded integer tag
+_LOWER = {"n": 0, "p": 1, "nf": 0.0}  # the least value of each bounded tag
 
 
 @dataclass
@@ -80,7 +81,7 @@ class ExperimentConfig:
         if (section, key) not in self.values:
             raise ConfigurationError(f"unknown config key [{section}] {key}")
         low = _LOWER.get(_SCHEMA[section][key][0])
-        if low is not None and value < low:
+        if low is not None and not value >= low:  # NaN is below every bound
             raise ConfigurationError(f"[{section}] {key} must be >= {low}, got {value}")
         self.values[(section, key)] = value
 
@@ -125,7 +126,7 @@ def _convert(tag: str, raw: str, where: str):
     try:
         if tag in ("i", "n", "p", "oi"):
             return int(raw)
-        if tag in ("f", "of"):
+        if tag in ("f", "nf", "of"):
             return float(raw)
         return raw
     except ValueError as e:
@@ -181,7 +182,7 @@ def build_model(cfg: ExperimentConfig) -> LayeredModel:
     if kind == "rosenbrock":
         return RosenbrockModel()
     if kind == "mlp":
-        hidden = _model_list(cfg, "hidden_dims", int, skip_empty=True)
+        hidden = _model_list(cfg, "hidden_dims", _dim, skip_empty=True)
         dims = [cfg.get("model", "input_dim"), *hidden, cfg.get("model", "output_dim")]
         return MLPModel(dims=tuple(dims), loss=cfg.get("model", "loss"), seed=seed)
     if kind == "attention_lm":
@@ -197,7 +198,13 @@ def build_model(cfg: ExperimentConfig) -> LayeredModel:
 
 def _block(part: str) -> tuple[int, float, float]:
     dim, curv, target = part.split(":")
-    return int(dim), float(curv), float(target)
+    return _dim(dim), float(curv), float(target)
+
+
+def _dim(part: str) -> int:
+    if int(part) < 1:
+        raise ValueError(f"dimension {part} < 1")
+    return int(part)
 
 
 def _model_list(cfg: ExperimentConfig, key: str, convert, skip_empty: bool) -> list:
@@ -213,12 +220,21 @@ def _corpus(cfg: ExperimentConfig) -> CharCorpus:
     path = cfg.get("task", "corpus_path")
     if not path:
         raise ConfigurationError("char_corpus task needs [task] corpus_path")
-    return CharCorpus.from_file(path, cfg.get("model", "context"))
+    with open(path, "rb") as f:
+        return CharCorpus(f.read(), cfg.get("model", "context"))
+
+
+# the dataset each model kind trains on; the analytic models ignore the batch
+_DATASET_OF = {"mlp": "two_moons", "attention_lm": "char_corpus"}
 
 
 def build_data(cfg: ExperimentConfig, model: LayeredModel):
-    """(train_batches, eval_batches) for the configured task."""
+    """(train_batches, eval_batches) for the configured task, checked once
+    against the model."""
     dataset = cfg.get("task", "dataset")
+    need = _DATASET_OF.get(model.kind, dataset)
+    if dataset != need:
+        raise ConfigurationError(f"[task] dataset {dataset!r} does not fit [model] kind {model.kind!r}: use {need!r}")
     bs = cfg.get("task", "batch_size")
     n_train = cfg.get("task", "train_batches")
     n_eval = cfg.get("task", "eval_batches")
@@ -227,6 +243,10 @@ def build_data(cfg: ExperimentConfig, model: LayeredModel):
         dummy = model.dummy_batch()
         return [dummy] * n_train, [dummy] * n_eval
     if dataset == "two_moons":
+        # 0/1 labels: mse regresses one output, cross-entropy needs a logit per class
+        if model.kind == "mlp" and (model.dims[-1] == 1) != (model.loss_kind == "mse"):
+            raise ConfigurationError(f"[model] output_dim {model.dims[-1]} does not fit loss "
+                                     f"{model.loss_kind!r} on two_moons")
         noise = cfg.get("task", "noise")
         train = two_moons_batches(n_train, bs, noise=noise, seed=seed)
         evalb = two_moons_batches(n_eval, bs, noise=noise, seed=seed + 10_000)

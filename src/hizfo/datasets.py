@@ -61,11 +61,6 @@ class CharCorpus:
         self.ids = self.vocab.encode(text)
         self.context = int(context)
 
-    @classmethod
-    def from_file(cls, path, context: int) -> "CharCorpus":
-        with open(path, "rb") as f:
-            return cls(f.read(), context)
-
     def batches(self, n_batches: int, batch_size: int, seed: int = 0) -> list[Batch]:
         rng = np.random.default_rng(seed)
         hi = len(self.ids) - self.context - 1

@@ -9,7 +9,6 @@ raw score so downstream selection works on a [-1, 1] scale.
 
 from __future__ import annotations
 
-import csv
 import itertools
 from dataclasses import dataclass, field
 
@@ -30,16 +29,6 @@ class ImportanceProfile:
     def ranked(self) -> list[str]:
         """Names by descending score; ties go to the output-nearest layer."""
         return sorted(self.scores, key=lambda n: (-self.scores[n], self.layer_index.get(n, 0)))
-
-    def save_csv(self, path) -> None:
-        with open(path, "w", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(["tensor", "layer_index", "raw_importance", "normalized_importance"])
-            for name in self.scores:
-                w.writerow(
-                    [name, self.layer_index.get(name, 0),
-                     repr(self.raw_scores[name]), repr(self.scores[name])]
-                )
 
 
 def estimate_importance(

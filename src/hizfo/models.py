@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -79,16 +79,7 @@ class CostModel:
 
     def to_dict(self) -> dict:
         return {
-            "tensors": [
-                {
-                    "name": e.name,
-                    "layer_index": e.layer_index,
-                    "grad_flops": e.grad_flops,
-                    "prop_flops": e.prop_flops,
-                    "fwd_flops": e.fwd_flops,
-                }
-                for e in self.entries
-            ],
+            "tensors": [asdict(e) for e in self.entries],
             "total_backward_flops": self.total_backward_flops,
             "total_forward_flops": self.total_forward_flops,
         }
@@ -112,7 +103,6 @@ class LayeredModel:
     each layer pricing its tensors with ``cost_entries(layer_index, B, T)``."""
 
     kind = "base"
-    loss_kind = "analytic"
     context = 1  # the sequence length plans are made at; models without one read T = 1
 
     def __init__(self):
@@ -278,8 +268,6 @@ class _SequentialModel(LayeredModel):
     Subclasses check and convert the batch inputs in ``_inputs``; the layer
     walk and the cross-entropy loss are shared.
     """
-
-    loss_kind = "cross_entropy"
 
     def _forward(self, batch):
         h = self._inputs(batch)

@@ -17,12 +17,10 @@ cost; with ``alpha > 0`` the tally also counts one backward per probe.
 
 from __future__ import annotations
 
-import csv
 import functools
-import json
 import operator
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -32,11 +30,6 @@ from .rng import add_scaled_noise, step_seed
 from .tensors import Batch, ConfigurationError, NumericOverflowError, Role
 
 ALGORITHMS = ("hizfo", "full_fo", "frozen_subset", "mezo")
-
-STEP_CSV_COLUMNS = (
-    "step", "L_FO", "L_ZO", "L_total", "fo_grad_norm", "zo_est_norm",
-    "bwd_flops", "fwd_flops", "wall_ns",
-)
 
 
 @dataclass
@@ -57,14 +50,20 @@ class OptimizerConfig:
     probes: int = 1               # perturbation probes averaged per step
 
     def __post_init__(self):
-        if self.epsilon <= 0:
+        if not self.epsilon > 0:  # negated, so that NaN fails too
             raise ConfigurationError("epsilon must be > 0")
-        if self.eta_fo <= 0 or self.eta_zo <= 0:
+        if not (self.eta_fo > 0 and self.eta_zo > 0):
             raise ConfigurationError("learning rates must be > 0")
-        if self.alpha < 0:
+        if not self.alpha >= 0:
             raise ConfigurationError("alpha must be >= 0")
         if self.fo_rule not in ("sgd", "adamlike"):
             raise ConfigurationError(f"unknown fo_rule {self.fo_rule!r}")
+        if not self.weight_decay >= 0:
+            raise ConfigurationError("weight_decay must be >= 0")
+        if self.weight_decay and self.fo_rule != "adamlike":
+            raise ConfigurationError("weight_decay applies only with fo_rule = adamlike")
+        if self.fo_rule == "adamlike" and not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
+            raise ConfigurationError(f"beta1 and beta2 must be in [0, 1), got {self.beta1}, {self.beta2}")
         if self.probes < 1:
             raise ConfigurationError("probes must be >= 1")
 
@@ -114,9 +113,6 @@ class FoUpdater:
             if cfg.weight_decay:
                 t.data -= cfg.eta_fo * cfg.weight_decay * t.data
             t.data -= cfg.eta_fo * mhat / (np.sqrt(vhat) + cfg.adam_eps)
-
-    def state_size(self) -> int:
-        return sum(m.size + v.size for m, v in self.state.values())
 
 
 def _grad_norm(grads) -> float:
@@ -278,34 +274,8 @@ class RunReport:
     memory_proxy: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "algorithm": self.algorithm,
-            "steps_run": self.steps_run,
-            "diverged": self.diverged,
-            "final_eval_loss": self.final_eval_loss,
-            "eval_history": [[s, l] for s, l in self.eval_history],
-            "total_backward_flops": self.total_backward_flops,
-            "total_forward_flops": self.total_forward_flops,
-            "memory_proxy": self.memory_proxy,
-            "wall_total_ns": self.wall_total_ns,
-        }
-
-    def save_json(self, path) -> None:
-        with open(path, "w") as f:
-            json.dump(self.to_dict(), f, indent=2, sort_keys=True)
-            f.write("\n")
-
-
-def write_step_csv(path, records) -> None:
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(STEP_CSV_COLUMNS)
-        for r in records:
-            w.writerow([
-                r.step, repr(r.L_FO), repr(r.L_ZO), repr(r.L_total),
-                repr(r.fo_grad_norm), repr(r.zo_estimate_norm),
-                r.backward_flops, r.forward_flops, r.wall_ns,
-            ])
+        """Every field but the step records, which steps.csv holds."""
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "records"}
 
 
 def evaluate(model: LayeredModel, batches) -> float:
@@ -393,6 +363,6 @@ def train(
         wall_total_ns=time.perf_counter_ns() - t_start,
         memory_proxy={
             "tape_params": int(sum(t.size for t in taped)),
-            "optimizer_state_params": int(updater.state_size()),
+            "optimizer_state_params": int(sum(m.size + v.size for m, v in updater.state.values())),
         },
     )

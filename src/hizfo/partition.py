@@ -19,7 +19,6 @@ importance <= 0 are never selected: they can only hurt a maximization.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,11 +53,6 @@ class PartitionPlan:
         if self.warning:
             d["warning"] = self.warning
         return d
-
-    def save_json(self, path) -> None:
-        with open(path, "w") as f:
-            json.dump(self.to_dict(), f, indent=2, sort_keys=True)
-            f.write("\n")
 
 
 def _check_keys(profile: ImportanceProfile, cost: CostModel):

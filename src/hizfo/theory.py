@@ -81,9 +81,8 @@ def forward_differences(objective, theta, mu, u):
     return diffs[:, None] * u
 
 
-def estimator_mean(objective, theta, mu, n_samples, seed=0, d_zo=None,
-                   control_variate=True, antithetic=False):
-    """Monte-Carlo estimate of E[g_hat] over the ZO block.
+def estimator_mean(objective, theta, mu, n_samples, seed=0, control_variate=True, antithetic=False):
+    """Monte-Carlo estimate of E[g_hat], every coordinate perturbed.
 
     With the control variate enabled, the sample mean of
     g_hat - (grad . u) u  is computed and the analytic gradient added back:
@@ -93,14 +92,13 @@ def estimator_mean(objective, theta, mu, n_samples, seed=0, d_zo=None,
     the estimand: u stays N(0, I)-distributed.
     """
     rng = np.random.default_rng(seed)
-    d_zo = theta.size if d_zo is None else int(d_zo)
-    g = objective.grad(theta)[:d_zo]
+    g = objective.grad(theta)
     if antithetic:
         half = max(n_samples // 2, 1)
-        u = rng.standard_normal((half, d_zo))
+        u = rng.standard_normal((half, theta.size))
         u = np.concatenate([u, -u])
     else:
-        u = rng.standard_normal((n_samples, d_zo))
+        u = rng.standard_normal((n_samples, theta.size))
     ghat = forward_differences(objective, theta, mu, u)
     if not control_variate:
         return ghat.mean(axis=0)
@@ -108,16 +106,14 @@ def estimator_mean(objective, theta, mu, n_samples, seed=0, d_zo=None,
     return resid.mean(axis=0) + g
 
 
-def estimator_bias_sq(objective, theta, mu, n_samples, seed=0, d_zo=None, antithetic=True):
-    g = objective.grad(theta)[: (theta.size if d_zo is None else d_zo)]
-    mean = estimator_mean(objective, theta, mu, n_samples, seed=seed, d_zo=d_zo,
-                          antithetic=antithetic)
-    return float(np.sum((mean - g) ** 2))
+def estimator_bias_sq(objective, theta, mu, n_samples, seed=0, antithetic=True):
+    mean = estimator_mean(objective, theta, mu, n_samples, seed=seed, antithetic=antithetic)
+    return float(np.sum((mean - objective.grad(theta)) ** 2))
 
 
-def estimator_second_moment(objective, theta, mu, n_samples, seed=0, d_zo=None):
+def estimator_second_moment(objective, theta, mu, n_samples, seed=0):
     rng = np.random.default_rng(seed)
-    u = rng.standard_normal((n_samples, theta.size if d_zo is None else int(d_zo)))
+    u = rng.standard_normal((n_samples, theta.size))
     ghat = forward_differences(objective, theta, mu, u)
     return float(np.mean(np.sum(ghat * ghat, axis=1)))
 

@@ -2,9 +2,9 @@
 
 Each suite returns a (name, passed, detail) row; the CLI prints one line
 per suite and exits nonzero if any fails. ``fast`` shrinks Monte-Carlo
-budgets for smoke runs. ``corrupt_restore`` is a fault-injection hook that
-negates the noise on restore, which must make the restore-exactness suite
-fail; it exists so the test suite can prove the checks have teeth.
+budgets for smoke runs. The restore-exactness suite's ``corrupt_restore``
+is a fault-injection hook that negates the noise on restore, which must
+make it fail; it exists so the test suite can prove the checks have teeth.
 """
 
 from __future__ import annotations
@@ -122,11 +122,5 @@ ALL_SUITES = (
 )
 
 
-def verify_all(fast=False, corrupt_restore=False) -> list[SuiteResult]:
-    results = []
-    for suite in ALL_SUITES:
-        if suite is suite_restore_exactness:
-            results.append(suite(fast=fast, corrupt_restore=corrupt_restore))
-        else:
-            results.append(suite(fast=fast))
-    return results
+def verify_all(fast=False) -> list[SuiteResult]:
+    return [suite(fast=fast) for suite in ALL_SUITES]

@@ -361,11 +361,83 @@ class TestCli:
         assert err.startswith("config error:") and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("base,section,key,value", [
+        ("mlp", "model", "hidden_dims", "-3"),
+        ("mlp", "model", "input_dim", "0"),
+        ("mlp", "model", "output_dim", "1"),
+        ("mlp", "model", "loss", "mse"),
+        ("lm", "model", "d_model", "-2"),
+        ("lm", "model", "context", "-1"),
+        ("mlp", "task", "noise", "-1"),
+        ("mlp", "task", "noise", "nan"),
+        ("mlp", "task", "dataset", "analytic"),
+        ("lm", "task", "dataset", "two_moons"),
+        ("lm", "task", "corpus_path", "{tmp}"),
+        ("lm", "model", "depth", "-1"),
+        ("mlp", "optimizer", "max_steps", "-3"),
+        ("quadratic", "model", "blocks", "-3:1.0:0.0"),
+    ])
+    def test_bad_value_at_the_boundary_is_config_error(self, tmp_path, capsys, base, section, key, value):
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("the cat sat on the mat " * 20)
+        out = tmp_path / "out"
+        text = {
+            "mlp": MLP_CFG.format(out=out),
+            "lm": LM_CFG.format(corpus=corpus, out=out),
+            "quadratic": f"[model]\nkind = quadratic\n[task]\ndataset = analytic\n[run]\nout_dir = {out}\n",
+        }[base]
+        cfg = self.write_cfg(tmp_path, with_value(text, section, key, value.format(tmp=tmp_path)))
+        assert self.run_cli("train", "--config", str(cfg)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_report_json_that_is_a_directory_is_config_error(self, tmp_path, capsys):
         (tmp_path / "report.json").mkdir()
         assert self.run_cli("report", "--out", str(tmp_path)) == 1
         err = capsys.readouterr().err
         assert err.startswith("config error: no report.json under") and err.count("\n") == 1
+
+    def test_artifact_format_contract(self, tmp_path, monkeypatch):
+        # JSON: sorted keys, indent 2, trailing newline; CSV: the documented
+        # header, and every float cell in its shortest round-trip repr
+        monkeypatch.setenv("HZFO_THREADS", "1")
+        text = MLP_CFG.format(out=tmp_path / "out").replace("max_steps = 30", "max_steps = 12")
+        cfg = str(self.write_cfg(tmp_path, text))
+        assert self.run_cli("profile", "--config", cfg, "--out", str(tmp_path / "p")) == 0
+        assert self.run_cli("partition", "--config", cfg, "--out", str(tmp_path / "q")) == 0
+        assert self.run_cli("train", "--config", cfg, "--out", str(tmp_path / "t")) == 0
+        assert self.run_cli("sweep", "--config", cfg, "--axis", "alpha", "--values", "0,0.1",
+                            "--out", str(tmp_path / "s")) == 0
+        for rel in ("p/cost_model.json", "q/plan.json", "t/plan.json", "t/report.json"):
+            text = (tmp_path / rel).read_text()
+            assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n", rel
+        columns = {
+            "p/importance.csv": ["tensor", "layer_index", "raw_importance", "normalized_importance"],
+            "t/steps.csv": ["step", "L_FO", "L_ZO", "L_total", "fo_grad_norm", "zo_est_norm",
+                            "bwd_flops", "fwd_flops", "wall_ns"],
+            "s/sweep.csv": ["axis", "value", "seed", "final_eval_loss", "diverged", "steps",
+                            "backward_flops"],
+            "s/sweep_summary.csv": ["axis", "value", "median_final_eval_loss", "n_diverged", "n_runs"],
+        }
+        floats = 0
+        for rel, header in columns.items():
+            with open(tmp_path / rel, newline="") as f:
+                rows = list(csv.reader(f))
+            assert rows[0] == header, rel
+            for cell in (c for row in rows[1:] for c in row):
+                try:
+                    int(cell)
+                    continue
+                except ValueError:
+                    pass
+                try:
+                    value = float(cell)
+                except ValueError:
+                    continue  # a name
+                assert repr(value) == cell, (rel, cell)
+                floats += 1
+        assert floats > 0
 
     def test_rho_sweep_reports_without_asserting(self, tmp_path):
         # the rho axis re-plans per value; the harness only reports medians

@@ -3,6 +3,8 @@ import csv
 import numpy as np
 import pytest
 
+from hizfo.cli import _profile, main
+from hizfo.config import load_config
 from hizfo.importance import estimate_importance
 from hizfo.models import MLPModel, QuadraticModel, full_gradient
 from hizfo.datasets import two_moons_batches
@@ -102,11 +104,14 @@ class TestProtocol:
                 assert prof.scores[name] >= 0.0
 
     def test_csv_roundtrip(self, tmp_path):
-        m = quadratic_two_blocks()
-        prof = estimate_importance(m, [m.dummy_batch()], warmup_steps=3, warmup_lr=1e-2)
-        path = tmp_path / "importance.csv"
-        prof.save_csv(path)
-        with open(path, newline="") as f:
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(
+            "[model]\nkind = quadratic\nblocks = 3:10.0:0.0,3:0.1:0.0\n"
+            "[task]\ndataset = analytic\n[partition]\nwarmup_steps = 3\nwarmup_lr = 1e-2\n"
+        )
+        assert main(["profile", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        prof = _profile(load_config(cfg))[3]
+        with open(tmp_path / "importance.csv", newline="") as f:
             rows = list(csv.DictReader(f))
         assert {r["tensor"]: float(r["normalized_importance"]) for r in rows} == prof.scores
         assert {r["tensor"]: float(r["raw_importance"]) for r in rows} == prof.raw_scores

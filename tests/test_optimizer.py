@@ -8,8 +8,8 @@ import pytest
 from hizfo import optimizer
 from hizfo.datasets import two_moons_batches
 from hizfo.models import MLPModel, QuadraticModel, RosenbrockModel, TinyAttentionLM, backward_truncated
+from hizfo.cli import STEP_CSV_COLUMNS, _step_row, _write_csv
 from hizfo.optimizer import (
-    STEP_CSV_COLUMNS,
     FoUpdater,
     OptimizerConfig,
     baseline_step_frozen_subset,
@@ -17,7 +17,6 @@ from hizfo.optimizer import (
     baseline_step_mezo,
     hizfo_step,
     train,
-    write_step_csv,
 )
 from hizfo.partition import PartitionPlan, apply_plan
 from hizfo.rng import regenerate_noise, step_seed
@@ -470,7 +469,7 @@ class TestTrain:
         cfg = OptimizerConfig(max_steps=3, **CFG)
         report = train(m, two_moons_batches(1, 16, seed=0), cfg, plan, "hizfo")
         path = tmp_path / "steps.csv"
-        write_step_csv(path, report.records)
+        _write_csv(path, STEP_CSV_COLUMNS, map(_step_row, report.records))
         with open(path) as f:
             rows = list(csv.reader(f))
         assert rows[0] == list(STEP_CSV_COLUMNS)
@@ -479,6 +478,24 @@ class TestTrain:
 
 
 class TestConfigValidation:
+    @pytest.mark.parametrize("kwargs", [
+        dict(weight_decay=0.5),  # the sgd rule would ignore it
+        dict(weight_decay=-0.1, fo_rule="adamlike"),
+        dict(fo_rule="adamlike", beta1=1.0),
+        dict(fo_rule="adamlike", beta2=1.0),
+        dict(fo_rule="adamlike", beta1=-0.1),
+        dict(epsilon=float("nan")),
+        dict(alpha=float("nan")),
+    ], ids=["decay_with_sgd", "negative_decay", "beta1_one", "beta2_one", "negative_beta1",
+            "nan_epsilon", "nan_alpha"])
+    def test_values_only_it_reads_are_checked(self, kwargs):
+        with pytest.raises(ConfigurationError):
+            OptimizerConfig(**kwargs)
+
+    def test_adamlike_values_in_range_accepted(self):
+        OptimizerConfig(fo_rule="adamlike", beta1=0.0, beta2=0.5, weight_decay=0.5)
+        OptimizerConfig(fo_rule="sgd", beta1=1.0, beta2=1.0)  # betas are adamlike's alone
+
     def test_epsilon_positive(self):
         with pytest.raises(ConfigurationError):
             OptimizerConfig(epsilon=0.0)

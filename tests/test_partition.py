@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hizfo.cli import _write_json
 from hizfo.datasets import CharCorpus, two_moons_batches
 from hizfo.importance import ImportanceProfile, estimate_importance
 from hizfo.models import CostEntry, CostModel, MLPModel, TinyAttentionLM, backward_truncated, flops_profile
@@ -291,7 +292,7 @@ class TestSerialization:
         prof, cost = FIXTURE
         plan = solve_dp(prof, cost, 0.5, buckets=1000)
         path = tmp_path / "plan.json"
-        plan.save_json(path)
+        _write_json(path, plan.to_dict())
         with open(path) as f:
             d = json.load(f)
         assert set(d) == {"rho", "budget_flops", "consumed_flops", "fo", "zo", "achieved_importance"}
