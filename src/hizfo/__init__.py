@@ -21,7 +21,6 @@ from .models import (
     TinyAttentionLM,
     backward_truncated,
     flops_profile,
-    forward,
     full_gradient,
 )
 from .optimizer import (

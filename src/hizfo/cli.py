@@ -84,9 +84,9 @@ def _plan(cfg: ExperimentConfig):
 
 def _run(cfg: ExperimentConfig):
     """Profile, plan and train one configured run: (plan, report)."""
+    opt = build_optimizer_config(cfg)  # a bad [optimizer] value fails before any work
     model, batches, eval_batches, profile, cost = _profile(cfg)
     plan = _solve(cfg, profile, cost)
-    opt = build_optimizer_config(cfg)
     return plan, train(model, batches, opt, plan, cfg.algorithm, eval_batches=eval_batches)
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import configparser
 import io
+import math
 from dataclasses import dataclass, field
 
 from .datasets import CharCorpus, two_moons_batches
@@ -17,8 +18,7 @@ from .optimizer import ALGORITHMS, OptimizerConfig
 from .tensors import ConfigurationError
 
 # section -> key -> (type tag, default)   type tags: s str, i int, n int >= 0,
-# p int >= 1, f float, nf float >= 0, oi optional int, of optional float,
-# os optional str
+# p int >= 1, f float, nf float >= 0, of optional float, os optional str
 _SCHEMA = {
     "model": {
         "kind": ("s", "mlp"),
@@ -52,7 +52,6 @@ _SCHEMA = {
         "beta2": ("f", 0.999),
         "weight_decay": ("f", 0.0),
         "max_steps": ("n", 200),
-        "epochs": ("oi", None),
         "eval_interval": ("i", 50),
         "probes": ("i", 1),
     },
@@ -121,10 +120,10 @@ def default_config() -> ExperimentConfig:
 
 def _convert(tag: str, raw: str, where: str):
     raw = raw.strip()
-    if tag in ("oi", "of", "os") and raw == "":
+    if tag in ("of", "os") and raw == "":
         return None
     try:
-        if tag in ("i", "n", "p", "oi"):
+        if tag in ("i", "n", "p"):
             return int(raw)
         if tag in ("f", "nf", "of"):
             return float(raw)
@@ -198,7 +197,10 @@ def build_model(cfg: ExperimentConfig) -> LayeredModel:
 
 def _block(part: str) -> tuple[int, float, float]:
     dim, curv, target = part.split(":")
-    return _dim(dim), float(curv), float(target)
+    curv, target = float(curv), float(target)
+    if not (math.isfinite(curv) and math.isfinite(target)):
+        raise ValueError("curvature and target must be finite")
+    return _dim(dim), curv, target
 
 
 def _dim(part: str) -> int:
@@ -213,7 +215,7 @@ def _model_list(cfg: ExperimentConfig, key: str, convert, skip_empty: bool) -> l
     try:
         return [convert(p.strip()) for p in raw.split(",") if p.strip() or not skip_empty]
     except ValueError as e:
-        raise ConfigurationError(f"bad value for [model] {key}: {raw!r}") from e
+        raise ConfigurationError(f"bad value for [model] {key}: {raw!r} ({e})") from e
 
 
 def _corpus(cfg: ExperimentConfig) -> CharCorpus:

@@ -44,6 +44,8 @@ def estimate_importance(
     """
     if warmup_steps < 1:
         raise ConfigurationError("warmup_steps must be >= 1")
+    if not 0 < warmup_lr < np.inf:  # negated, so that NaN fails too
+        raise ConfigurationError(f"warmup_lr must be finite and > 0, got {warmup_lr}")
     batches = list(data)
     if not batches:
         raise ConfigurationError("importance estimation needs at least one batch")

@@ -139,7 +139,9 @@ class LayeredModel:
 
     def cost_model(self, batch_size: int, T: int | None = None) -> CostModel:
         """FLOPs of one batch of `batch_size` sequences of length `T`, the
-        model's context by default; built once per (B, T)."""
+        model's context by default; built once per (B, T). Dense layers price
+        B*T rows: a model without a context is tallied at T = 1, and a direct
+        call with another T prices it at B*T rows."""
         key = (int(batch_size), self.context if T is None else int(T))
         if key not in self._cost_cache:
             self._cost_cache[key] = CostModel(
@@ -207,7 +209,7 @@ class QuadraticModel(_AnalyticModel):
             layer = _AnalyticLayer([t])
             layers.append(layer)
             self.curvatures.append(float(curvature))
-            self.targets.append(np.full(dim, float(target)) if np.isscalar(target) else np.asarray(target, float))
+            self.targets.append(np.full(dim, float(target)))
         self._register(layers)
 
     def _forward(self, batch):
@@ -304,41 +306,43 @@ class _SequentialModel(LayeredModel):
 
 
 class _DenseLayer:
-    """y = act(x @ W + b); backward computes the input gradient whenever the
-    layer is traversed, including as the deepest one, so measured FLOPs match
-    the cost model exactly."""
+    """y = act(x @ W [+ b]) over the last axis of x, as one 2-D GEMM over
+    every leading row (B rows for the MLP, B*T for the LM head), so y has
+    shape (rows, fan_out); backward computes the input gradient, in x's
+    shape, whenever the layer is traversed, including as the deepest one,
+    so measured FLOPs match the cost model exactly."""
 
-    def __init__(self, name, fan_in, fan_out, rng, activation):
+    def __init__(self, name, fan_in, fan_out, rng, activation, bias=True):
         self.fan_in = fan_in
         self.fan_out = fan_out
         self.activation = activation
-        W = ParamTensor(f"{name}.weight", (fan_in, fan_out), _init_dense(rng, fan_in, fan_out))
-        b = ParamTensor(f"{name}.bias", (fan_out,), np.zeros(fan_out))
-        self.tensors = [W, b]
+        self.tensors = [ParamTensor(f"{name}.weight", (fan_in, fan_out), _init_dense(rng, fan_in, fan_out))]
+        if bias:
+            self.tensors.append(ParamTensor(f"{name}.bias", (fan_out,), np.zeros(fan_out)))
 
     def forward(self, x):
-        pre = x @ self.tensors[0].view() + self.tensors[1].data
+        pre = x.reshape(-1, self.fan_in) @ self.tensors[0].view()
+        if len(self.tensors) > 1:
+            pre += self.tensors[1].data
         out = np.tanh(pre) if self.activation == "tanh" else pre
         return out, (x, out if self.activation == "tanh" else None)
 
     def backward(self, g_out, cache, active):
         x, tanh_out = cache
         g_pre = g_out * (1.0 - tanh_out * tanh_out) if self.activation == "tanh" else g_out
+        W = self.tensors[0]
         grads = {}
-        W, b = self.tensors
         if W.name in active:
-            grads[W.name] = (x.T @ g_pre).reshape(-1)
-        if b.name in active:
-            grads[b.name] = g_pre.sum(axis=0)
-        g_in = g_pre @ W.view().T
-        return grads, g_in
+            grads[W.name] = (x.reshape(-1, self.fan_in).T @ g_pre).reshape(-1)
+        if len(self.tensors) > 1 and self.tensors[1].name in active:
+            grads[self.tensors[1].name] = g_pre.sum(axis=0)
+        return grads, (g_pre @ W.view().T).reshape(x.shape)
 
-    def cost_entries(self, layer_index, batch, T):  # a dense layer sees no sequence axis
-        mw = 2 * batch * self.fan_in * self.fan_out
-        W, b = self.tensors
-        return [
-            CostEntry(W.name, layer_index, mw, mw, mw),
-            CostEntry(b.name, layer_index, batch * self.fan_out, 0, 0),
+    def cost_entries(self, layer_index, batch, T):
+        rows = batch * T
+        mw = 2 * rows * self.fan_in * self.fan_out
+        return [CostEntry(self.tensors[0].name, layer_index, mw, mw, mw)] + [
+            CostEntry(b.name, layer_index, rows * self.fan_out, 0, 0) for b in self.tensors[1:]
         ]
 
 
@@ -417,34 +421,6 @@ class _EmbeddingLayer:
             CostEntry(tok.name, layer_index, n, 0, n),
             CostEntry(pos.name, layer_index, n, 0, n),
         ]
-
-
-class _HeadLayer:
-    """Linear map from the residual stream to vocabulary logits."""
-
-    def __init__(self, d_model, vocab, rng):
-        self.d_model = d_model
-        self.vocab = vocab
-        W = ParamTensor("head.weight", (d_model, vocab), _init_dense(rng, d_model, vocab))
-        self.tensors = [W]
-
-    def forward(self, x):
-        B, T, d = x.shape
-        return (x.reshape(B * T, d) @ self.tensors[0].view()).reshape(B, T, self.vocab), x
-
-    def backward(self, g_out, cache, active):
-        x = cache
-        B, T, d = x.shape
-        g2 = g_out.reshape(B * T, self.vocab)
-        W = self.tensors[0]
-        grads = {}
-        if W.name in active:
-            grads[W.name] = (x.reshape(B * T, d).T @ g2).reshape(-1)
-        return grads, (g2 @ W.view().T).reshape(B, T, d)
-
-    def cost_entries(self, layer_index, batch, T):
-        m = 2 * batch * T * self.d_model * self.vocab
-        return [CostEntry(self.tensors[0].name, layer_index, m, m, m)]
 
 
 @functools.lru_cache(maxsize=64)
@@ -578,7 +554,7 @@ class TinyAttentionLM(_SequentialModel):
         rng = np.random.default_rng(seed)
         embed = _EmbeddingLayer(self.vocab_size, self.context, self.d_model, rng)
         blocks = [_AttentionBlock(f"block{i}", self.d_model, rng) for i in range(self.depth)]
-        head = _HeadLayer(self.d_model, self.vocab_size, rng)
+        head = _DenseLayer("head", self.d_model, self.vocab_size, rng, None, bias=False)
         # output-first: head, blocks in reverse execution order, embedding
         self._register([head] + blocks[::-1] + [embed])
 
@@ -591,11 +567,6 @@ class TinyAttentionLM(_SequentialModel):
         if tokens.min() < 0 or tokens.max() >= self.vocab_size:
             raise ConfigurationError("token id out of vocabulary range")
         return tokens
-
-
-def forward(model: LayeredModel, batch: Batch) -> float:
-    """Scalar loss of one batch; records forward FLOPs in the model tally."""
-    return model.forward(batch)
 
 
 def backward_truncated(model: LayeredModel, batch: Batch, active) -> dict:

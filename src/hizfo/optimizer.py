@@ -30,6 +30,7 @@ from .rng import add_scaled_noise, step_seed
 from .tensors import Batch, ConfigurationError, NumericOverflowError, Role
 
 ALGORITHMS = ("hizfo", "full_fo", "frozen_subset", "mezo")
+_ADAM_EPS = 1e-8  # keeps the adamlike step finite where the second moment is 0
 
 
 @dataclass
@@ -43,23 +44,21 @@ class OptimizerConfig:
     beta1: float = 0.9
     beta2: float = 0.999
     weight_decay: float = 0.0
-    adam_eps: float = 1e-8
     max_steps: int = 100
-    epochs: int | None = None
     eval_interval: int = 50
     probes: int = 1               # perturbation probes averaged per step
 
     def __post_init__(self):
-        if not self.epsilon > 0:  # negated, so that NaN fails too
-            raise ConfigurationError("epsilon must be > 0")
-        if not (self.eta_fo > 0 and self.eta_zo > 0):
-            raise ConfigurationError("learning rates must be > 0")
-        if not self.alpha >= 0:
-            raise ConfigurationError("alpha must be >= 0")
+        if not 0 < self.epsilon < np.inf:  # negated, so that NaN fails too
+            raise ConfigurationError("epsilon must be finite and > 0")
+        if not (0 < self.eta_fo < np.inf and 0 < self.eta_zo < np.inf):
+            raise ConfigurationError("learning rates must be finite and > 0")
+        if not 0 <= self.alpha < np.inf:
+            raise ConfigurationError("alpha must be finite and >= 0")
         if self.fo_rule not in ("sgd", "adamlike"):
             raise ConfigurationError(f"unknown fo_rule {self.fo_rule!r}")
-        if not self.weight_decay >= 0:
-            raise ConfigurationError("weight_decay must be >= 0")
+        if not 0 <= self.weight_decay < np.inf:
+            raise ConfigurationError("weight_decay must be finite and >= 0")
         if self.weight_decay and self.fo_rule != "adamlike":
             raise ConfigurationError("weight_decay applies only with fo_rule = adamlike")
         if self.fo_rule == "adamlike" and not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
@@ -112,7 +111,7 @@ class FoUpdater:
             vhat = v / (1 - b2**self.count)
             if cfg.weight_decay:
                 t.data -= cfg.eta_fo * cfg.weight_decay * t.data
-            t.data -= cfg.eta_fo * mhat / (np.sqrt(vhat) + cfg.adam_eps)
+            t.data -= cfg.eta_fo * mhat / (np.sqrt(vhat) + _ADAM_EPS)
 
 
 def _grad_norm(grads) -> float:
@@ -310,9 +309,6 @@ def train(
             raise ConfigurationError(f"{algorithm} requires a partition plan")
         apply_plan(model, plan)
 
-    max_steps = cfg.max_steps
-    if cfg.epochs is not None:
-        max_steps = min(max_steps, cfg.epochs * len(batches))
     updater = FoUpdater(cfg)
     # the step functions are looked up per call, so wrappers installed on
     # this module's attributes see every step
@@ -327,7 +323,7 @@ def train(
     diverged = False
     t_start = time.perf_counter_ns()
 
-    for step in range(max_steps):
+    for step in range(cfg.max_steps):
         rec = step_fn(batches[step % len(batches)], step)
         records.append(rec)
         if rec.diverged:

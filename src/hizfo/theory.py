@@ -26,20 +26,17 @@ from .rng import step_seed
 class TheoryRunSpec:
     d_zo: int = 16
     d_fo: int = 4
-    smoothness: float = 1.0      # largest curvature of the quadratic objective
     sigma_fo: float = 0.5        # FO gradient noise scale
     sigma_zo: float = 0.5        # additive ZO estimator noise scale
-    alpha: float = 1.0           # ZO weight in the update vector
     gap0: float = 50.0           # initial optimality gap f(theta_0) - f*
-    mu: float | None = None      # None: 1 / sqrt(d_zo * T)
-    eta: float | None = None     # None: 1 / sqrt(T)
     seed: int = 0
 
     def curvatures(self) -> np.ndarray:
+        """Curvatures from 0.1 to 1.0, so the smoothness constant is 1."""
         d = self.d_zo + self.d_fo
         if d < 2:
-            return np.full(d, self.smoothness)
-        return np.geomspace(self.smoothness / 10.0, self.smoothness, d)
+            return np.full(d, 1.0)
+        return np.geomspace(0.1, 1.0, d)
 
 
 class QuadraticObjective:
@@ -140,8 +137,8 @@ def hybrid_run_min_grad_sq(spec: TheoryRunSpec, T: int) -> tuple[float, bool]:
     f0 = obj.value(theta)
     if f0 > 0:
         theta *= np.sqrt(spec.gap0 / f0)
-    eta = spec.eta if spec.eta is not None else 1.0 / np.sqrt(T)
-    mu = spec.mu if spec.mu is not None else 1.0 / np.sqrt(max(spec.d_zo, 1) * T)
+    eta = 1.0 / np.sqrt(T)
+    mu = 1.0 / np.sqrt(max(spec.d_zo, 1) * T)
     best = np.inf
     for _ in range(T):
         g = obj.grad(theta)
@@ -156,7 +153,7 @@ def hybrid_run_min_grad_sq(spec: TheoryRunSpec, T: int) -> tuple[float, bool]:
             ghat = (obj.value(pert) - obj.value(theta)) / mu * u
             if spec.sigma_zo:
                 ghat = ghat + spec.sigma_zo * rng.standard_normal(spec.d_zo)
-            theta[: spec.d_zo] -= eta * spec.alpha * ghat
+            theta[: spec.d_zo] -= eta * ghat
         theta[spec.d_zo :] -= eta * g_fo
     return best, False
 
@@ -201,7 +198,7 @@ def descent_inequality_check(
         f0 = obj.value(theta)
         ghat = forward_differences(obj, theta, mu, rng.standard_normal((n_probes, spec.d_zo)))
         v = np.tile(np.concatenate([np.zeros(spec.d_zo), g[spec.d_zo :]]), (n_probes, 1))
-        v[:, : spec.d_zo] = spec.alpha * ghat
+        v[:, : spec.d_zo] = ghat
         v[:, spec.d_zo :] += spec.sigma_fo * rng.standard_normal((n_probes, spec.d_fo))
         nxt = obj.value_many(np.tile(theta, (n_probes, 1)) - eta * v)
         lhs = float(nxt.mean())

@@ -21,7 +21,6 @@ from hizfo.models import (
     TinyAttentionLM,
     backward_truncated,
     flops_profile,
-    forward,
     full_gradient,
 )
 from hizfo.optimizer import OptimizerConfig, hizfo_step, train
@@ -99,9 +98,9 @@ def test_criterion_01_gradient_correctness():
             i = int(rng.integers(t.size))
             orig = t.data[i]
             t.data[i] = orig + h
-            lp = forward(model, batch)
+            lp = model.forward(batch)
             t.data[i] = orig - h
-            lmv = forward(model, batch)
+            lmv = model.forward(batch)
             t.data[i] = orig
             fd = (lp - lmv) / (2 * h)
             g = grads[t.name][i]

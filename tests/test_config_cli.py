@@ -392,6 +392,89 @@ class TestCli:
         assert err.startswith("config error:") and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("base,settings", [
+        ("mlp", {"eta_fo": "inf"}),
+        ("mlp", {"eta_zo": "inf"}),
+        ("mlp", {"epsilon": "inf"}),
+        ("mlp", {"alpha": "inf"}),
+        ("mlp", {"fo_rule": "adamlike", "weight_decay": "inf"}),
+        ("mlp", {"warmup_lr": "-1"}),
+        ("mlp", {"warmup_lr": "0"}),
+        ("mlp", {"warmup_lr": "nan"}),
+        ("mlp", {"warmup_lr": "inf"}),
+        ("quadratic", {"blocks": "3:nan:0.0"}),
+        ("quadratic", {"blocks": "3:1.0:nan"}),
+        ("quadratic", {"blocks": "3:inf:0.0"}),
+    ], ids=["inf_eta_fo", "inf_eta_zo", "inf_epsilon", "inf_alpha", "inf_weight_decay",
+            "negative_warmup_lr", "zero_warmup_lr", "nan_warmup_lr", "inf_warmup_lr",
+            "nan_curvature", "nan_target", "inf_curvature"])
+    def test_nonfinite_or_nonpositive_rate_is_config_error(self, tmp_path, capsys, base, settings):
+        out = tmp_path / "out"
+        text = {
+            "mlp": MLP_CFG.format(out=out),
+            "quadratic": f"[model]\nkind = quadratic\n[task]\ndataset = analytic\n[run]\nout_dir = {out}\n",
+        }[base]
+        section = {"warmup_lr": "partition", "blocks": "model"}
+        for key, value in settings.items():
+            text = with_value(text, section.get(key, "optimizer"), key, value)
+        cfg = self.write_cfg(tmp_path, text)
+        assert self.run_cli("train", "--config", str(cfg)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("algorithm", ["hizfo", "full_fo"])
+    def test_attention_lm_trains_through_the_cli(self, tmp_path, algorithm):
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("the cat sat on the mat " * 20)
+        text = with_value(LM_CFG.format(corpus=corpus, out=tmp_path / "out"), "optimizer", "algorithm", algorithm)
+        cfg = self.write_cfg(tmp_path, text)
+        assert self.run_cli("train", "--config", str(cfg)) == 0
+        model = build_model(parse_config(text))
+        names = [t.name for t in model.tensors()]
+        assert names[0] == "head.weight" and "head.bias" not in names  # the head has no bias
+        plan = json.loads((tmp_path / "out" / "plan.json").read_text())
+        assert sorted(plan["fo"] + plan["zo"]) == sorted(names)
+        with open(tmp_path / "out" / "steps.csv") as f:
+            rows = list(csv.DictReader(f))
+        assert len(rows) == 5
+        if algorithm == "full_fo":
+            assert plan["fo"] == names and plan["zo"] == []
+            full = model.cost_model(4).total_backward_flops  # batch_size 4 at the full context
+            assert all(int(r["bwd_flops"]) == full for r in rows)
+
+    def test_partition_below_min_cost_warns(self, tmp_path, capsys):
+        text = MLP_CFG.format(out=tmp_path / "out").replace("rho = 0.6", "rho = 0.001")
+        cfg = self.write_cfg(tmp_path, text)
+        assert self.run_cli("partition", "--config", str(cfg), "--out", str(tmp_path / "q")) == 0
+        assert "warning: budget_below_min_cost" in capsys.readouterr().out
+        plan = json.loads((tmp_path / "q" / "plan.json").read_text())
+        assert plan["warning"] == "budget_below_min_cost"
+
+    @pytest.mark.parametrize("axis,value,section,key,expected", [
+        ("rho", 0.3, "partition", "rho", 0.3),
+        ("r", 0.5, "optimizer", "eta_zo", 0.5 * 0.05),  # r times MLP_CFG's eta_fo
+    ])
+    def test_sweep_worker_sets_its_axis(self, tmp_path, monkeypatch, axis, value, section, key, expected):
+        from types import SimpleNamespace
+
+        from hizfo import cli
+        seen = []
+
+        def fake_run(cfg):
+            seen.append(cfg)
+            return None, SimpleNamespace(final_eval_loss=1.0, diverged=False, steps_run=3,
+                                         total_backward_flops=7)
+
+        monkeypatch.setattr(cli, "_run", fake_run)
+        text = MLP_CFG.format(out=tmp_path / "out")
+        row = cli._sweep_worker((text, axis, value, 11))
+        assert row == {"axis": axis, "value": value, "seed": 11, "final_eval_loss": 1.0,
+                       "diverged": 0, "steps": 3, "backward_flops": 7}
+        (cfg,) = seen
+        assert cfg.get(section, key) == expected
+        assert cfg.master_seed == cfg.get("model", "seed") == cfg.get("task", "data_seed") == 11
+
     def test_report_json_that_is_a_directory_is_config_error(self, tmp_path, capsys):
         (tmp_path / "report.json").mkdir()
         assert self.run_cli("report", "--out", str(tmp_path)) == 1

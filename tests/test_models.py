@@ -14,7 +14,6 @@ from hizfo.models import (
     TinyAttentionLM,
     backward_truncated,
     flops_profile,
-    forward,
     full_gradient,
 )
 from hizfo.tensors import Batch, ConfigurationError, NumericOverflowError, Role
@@ -35,21 +34,21 @@ class TestForwardExamples:
     def test_quadratic_at_minimum(self):
         m = QuadraticModel(blocks=((5, 1.0, 0.0),), seed=0)
         m.tensors()[0].data[:] = 0.0
-        assert forward(m, m.dummy_batch()) == 0.0
+        assert m.forward(m.dummy_batch()) == 0.0
 
     def test_quadratic_half_norm_sq(self):
         m = QuadraticModel(blocks=((2, 1.0, 0.0),), seed=0)
         m.tensors()[0].data[:] = [3.0, 4.0]
-        assert forward(m, m.dummy_batch()) == 12.5
+        assert m.forward(m.dummy_batch()) == 12.5
 
     def test_rosenbrock_global_minimum(self):
         m = RosenbrockModel(x0=1.0, y0=1.0)
-        assert forward(m, m.dummy_batch()) == 0.0
+        assert m.forward(m.dummy_batch()) == 0.0
 
     def test_mlp_golden_loss(self):
         m = MLPModel(dims=(2, 16, 2), seed=42)
         batch = two_moons_batches(1, 64, seed=7)[0]
-        loss = forward(m, batch)
+        loss = m.forward(batch)
         with open(GOLDEN_CSV) as f:
             row = next(r for r in csv.DictReader(f) if r["model"] == "mlp")
         assert int(row["seed"]) == 42 and int(row["batch_seed"]) == 7
@@ -71,7 +70,7 @@ class TestForwardExamples:
             logz = mx + math.log(sum(math.exp(z - mx) for z in logits))
             total += logz - logits[int(label)]
         oracle = total / batch.size
-        assert abs(forward(m, batch) - oracle) < 1e-12
+        assert abs(m.forward(batch) - oracle) < 1e-12
 
 
 class TestGradients:
@@ -100,9 +99,9 @@ class TestGradients:
             i = int(rng.integers(t.size))
             orig = t.data[i]
             t.data[i] = orig + h
-            lp = forward(model, batch)
+            lp = model.forward(batch)
             t.data[i] = orig - h
-            lm = forward(model, batch)
+            lm = model.forward(batch)
             t.data[i] = orig
             fd = (lp - lm) / (2 * h)
             assert rel_err(g[t.name][i], fd) <= 1e-5
@@ -212,11 +211,11 @@ class TestAttentionKernels:
     def test_alternating_sequence_lengths(self):
         m = TinyAttentionLM(vocab_size=20, d_model=8, depth=2, context=8, seed=7)
         short, full_len = lm_batch(T=5, seed=1), lm_batch(T=8, seed=1)
-        first = (forward(m, short), forward(m, full_len))
+        first = (m.forward(short), m.forward(full_len))
         for _ in range(2):
-            assert (forward(m, short), forward(m, full_len)) == first
+            assert (m.forward(short), m.forward(full_len)) == first
         g = full_gradient(m, short)
-        forward(m, full_len)
+        m.forward(full_len)
         rng = np.random.default_rng(1)
         tensors = m.tensors()
         h = 1e-5
@@ -225,9 +224,9 @@ class TestAttentionKernels:
             i = int(rng.integers(t.size))
             orig = t.data[i]
             t.data[i] = orig + h
-            lp = forward(m, short)
+            lp = m.forward(short)
             t.data[i] = orig - h
-            lm = forward(m, short)
+            lm = m.forward(short)
             t.data[i] = orig
             assert rel_err(g[t.name][i], (lp - lm) / (2 * h)) <= 1e-5
 
@@ -306,13 +305,13 @@ class TestCostModel:
 class TestDeterminismAndErrors:
     def test_identical_inputs_identical_loss(self):
         batch = two_moons_batches(1, 32, seed=9)[0]
-        losses = {forward(MLPModel(dims=(2, 16, 2), seed=11), batch) for _ in range(3)}
+        losses = {MLPModel(dims=(2, 16, 2), seed=11).forward(batch) for _ in range(3)}
         assert len(losses) == 1
 
     def test_shape_mismatch_is_configuration_error(self):
         m = MLPModel(dims=(2, 16, 2), seed=0)
         with pytest.raises(ConfigurationError):
-            forward(m, Batch(np.zeros((4, 3)), np.zeros(4, dtype=int)))
+            m.forward(Batch(np.zeros((4, 3)), np.zeros(4, dtype=int)))
 
     def test_overflow_carries_layer_index(self):
         # huge embeddings overflow in the first attention block's score
@@ -320,7 +319,7 @@ class TestDeterminismAndErrors:
         m = TinyAttentionLM(vocab_size=10, d_model=8, depth=2, context=8, seed=0)
         m.tensor("embed.token").data[:] = 1e200
         with pytest.raises(NumericOverflowError) as exc:
-            forward(m, lm_batch(vocab=10))
+            m.forward(lm_batch(vocab=10))
         first_block_index = len(m.layers) - 2  # output-first: head, blocks..., embed
         assert exc.value.layer_index == first_block_index
 
@@ -329,13 +328,13 @@ class TestDeterminismAndErrors:
         m.tensor("layer0.weight").data[:] = 1e200  # squared error overflows
         batch = Batch(np.ones((4, 2)), np.zeros((4, 2)))
         with pytest.raises(NumericOverflowError):
-            forward(m, batch)
+            m.forward(batch)
 
     def test_lm_token_range_checked(self):
         m = TinyAttentionLM(vocab_size=10, d_model=8, depth=1, context=8, seed=0)
         bad = Batch(np.full((2, 8), 11), np.zeros((2, 8), dtype=int))
         with pytest.raises(ConfigurationError):
-            forward(m, bad)
+            m.forward(bad)
 
     def test_lm_caps(self):
         with pytest.raises(ConfigurationError):

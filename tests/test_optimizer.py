@@ -315,6 +315,21 @@ class TestBaselines:
         assert m.tensors()[0].data[0] == theta
 
     @pytest.mark.parametrize("algorithm", ["full_fo", "frozen_subset"])
+    def test_fo_baseline_overflow_aborts_step(self, algorithm):
+        m = one_d_quadratic(theta=1e200, role=Role.FO)  # 0.5 * theta^2 overflows
+        plan = PartitionPlan([m.tensors()[0].name], [], 1.0, 0.0, 0, 0.0)
+        cfg = OptimizerConfig(**CFG)
+        bwd_before = m.tally.backward
+        if algorithm == "full_fo":
+            rec = baseline_step_full_fo(m, m.dummy_batch(), cfg, 4)
+        else:
+            rec = baseline_step_frozen_subset(m, m.dummy_batch(), cfg, plan, 4)
+        assert rec.diverged and rec.step == 4
+        assert np.isnan(rec.L_FO) and np.isnan(rec.L_total)
+        assert rec.backward_flops == 0 and m.tally.backward == bwd_before
+        assert m.tensors()[0].data[0] == 1e200  # aborted before any update
+
+    @pytest.mark.parametrize("algorithm", ["full_fo", "frozen_subset"])
     def test_fo_baseline_backward_flops_field(self, algorithm):
         m, plan = mlp_with_split()
         batch = two_moons_batches(1, 32, seed=3)[0]
@@ -411,13 +426,6 @@ class TestTrain:
             assert (ra.L_FO, ra.L_ZO, ra.L_total, ra.fo_grad_norm, ra.zo_estimate_norm) == (
                 rb.L_FO, rb.L_ZO, rb.L_total, rb.fo_grad_norm, rb.zo_estimate_norm)
         assert a.eval_history == b.eval_history
-
-    def test_epochs_cap_steps(self):
-        m, plan = mlp_with_split()
-        batches = two_moons_batches(3, 16, seed=0)
-        cfg = OptimizerConfig(max_steps=100, epochs=2, **CFG)
-        report = train(m, batches, cfg, plan, "hizfo")
-        assert report.steps_run == 6
 
     def test_diverged_run_terminates(self):
         # a quadratic at lr 1e18 overshoots exponentially until the loss
