@@ -18,7 +18,7 @@ from .optimizer import ALGORITHMS, OptimizerConfig
 from .tensors import ConfigurationError
 
 # section -> key -> (type tag, default)   type tags: s str, i int, n int >= 0,
-# p int >= 1, f float, nf float >= 0, of optional float, os optional str
+# p int >= 1, f float, nf finite float >= 0, of optional float, os optional str
 _SCHEMA = {
     "model": {
         "kind": ("s", "mlp"),
@@ -53,7 +53,6 @@ _SCHEMA = {
         "weight_decay": ("f", 0.0),
         "max_steps": ("n", 200),
         "eval_interval": ("i", 50),
-        "probes": ("i", 1),
     },
     "partition": {
         "rho": ("f", 0.6),
@@ -80,8 +79,8 @@ class ExperimentConfig:
         if (section, key) not in self.values:
             raise ConfigurationError(f"unknown config key [{section}] {key}")
         low = _LOWER.get(_SCHEMA[section][key][0])
-        if low is not None and not value >= low:  # NaN is below every bound
-            raise ConfigurationError(f"[{section}] {key} must be >= {low}, got {value}")
+        if low is not None and not low <= value < math.inf:  # negated, so that NaN fails too
+            raise ConfigurationError(f"[{section}] {key} must be finite and >= {low}, got {value}")
         self.values[(section, key)] = value
 
     # resolved accessors -------------------------------------------------

@@ -1,24 +1,23 @@
 """The hybrid FO/ZO optimization step, baselines, and the training loop.
 
 One hybrid step runs two forward passes: a clean pass giving the reference
-loss and a pass with the ZO parameters perturbed in place by seeded
-gaussian noise. First-order tensors are updated with the gradient of
+loss and a pass with the ZO parameters perturbed in place by one seeded
+gaussian noise vector ``u``, the single-probe estimator of MeZO.
+First-order tensors are updated with the gradient of
 ``L_clean + alpha * L_perturbed``, zeroth-order tensors with the scaled
-finite-difference direction ``(L_perturbed - L_clean) / eps * u``. Each
-probe perturbs, runs its forward and its truncated backward, and only then
+finite-difference direction ``(L_perturbed - L_clean) / eps * u``. The step
+perturbs, runs the perturbed forward and truncated backward, and only then
 restores, so the alpha term is the true gradient of the perturbed loss.
 The noise is never stored: perturbing, restoring, and updating all
 regenerate it from the per-step seed.
 
 ``backward_flops`` in a step record is what the model tally counts for the
 step's clean truncated backward over the FO set, the budget-comparable
-cost; with ``alpha > 0`` the tally also counts one backward per probe.
+cost; with ``alpha > 0`` the tally also counts the perturbed-pass backward.
 """
 
 from __future__ import annotations
 
-import functools
-import operator
 import time
 from dataclasses import dataclass, field, fields
 
@@ -46,7 +45,6 @@ class OptimizerConfig:
     weight_decay: float = 0.0
     max_steps: int = 100
     eval_interval: int = 50
-    probes: int = 1               # perturbation probes averaged per step
 
     def __post_init__(self):
         if not 0 < self.epsilon < np.inf:  # negated, so that NaN fails too
@@ -63,8 +61,6 @@ class OptimizerConfig:
             raise ConfigurationError("weight_decay applies only with fo_rule = adamlike")
         if self.fo_rule == "adamlike" and not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
             raise ConfigurationError(f"beta1 and beta2 must be in [0, 1), got {self.beta1}, {self.beta2}")
-        if self.probes < 1:
-            raise ConfigurationError("probes must be >= 1")
 
 
 @dataclass
@@ -152,47 +148,28 @@ def hizfo_step(
     grads = model.backward_from_cache(batch, cache_clean, fo_names)
     bwd = model.tally.backward - bwd_before
 
-    base = step_seed(cfg.master_seed, step_index)
-    seeds = [base] if cfg.probes == 1 else [step_seed(base, j) for j in range(cfg.probes)]
+    seed = step_seed(cfg.master_seed, step_index)
     eps = cfg.epsilon
-    losses: list[float] = []
-    grads_pert: dict[str, np.ndarray] = {}  # summed over probes
-    for seed in seeds:
-        add_scaled_noise(zo_arrays, seed, +eps)
-        try:
-            loss_pert, cache_pert = model.forward_with_cache(batch)
-        except NumericOverflowError:
-            add_scaled_noise(zo_arrays, seed, -eps)  # put the ZO parameters back before aborting
-            return _diverged(step_index, model, fwd_before, t0, loss_clean, float("nan"))
-        losses.append(loss_pert)
+    add_scaled_noise(zo_arrays, seed, +eps)
+    try:
+        loss_pert, cache_pert = model.forward_with_cache(batch)
         if cfg.alpha != 0.0 and fo_names:
             # still perturbed: layers read their weights at backward time
             for name, g in model.backward_from_cache(batch, cache_pert, fo_names).items():
-                if name in grads_pert:
-                    grads_pert[name] += g
-                else:
-                    grads_pert[name] = g
-        add_scaled_noise(zo_arrays, seed, -eps)
-
-    n = len(seeds)
-    for name, g in grads_pert.items():
-        grads[name] = grads[name] + (cfg.alpha / n) * g
+                grads[name] = grads[name] + cfg.alpha * g
+    except NumericOverflowError:
+        return _diverged(step_index, model, fwd_before, t0, loss_clean, float("nan"))
+    finally:
+        add_scaled_noise(zo_arrays, seed, -eps)  # restore, also when the step aborts
     updater.apply(fo, grads)
 
-    est_sq = 0.0
+    coef = (loss_pert - loss_clean) / eps
     # the squared coefficient may overflow to inf: the next forward pass
     # then reports the divergence
     with np.errstate(over="ignore"):
-        for seed, loss_pert in zip(seeds, losses):
-            coef = (loss_pert - loss_clean) / eps
-            sq = add_scaled_noise(zo_arrays, seed, -cfg.eta_zo * coef / n)
-            est_sq += np.float64(coef / n) ** 2 * sq
-    est_norm = float(np.sqrt(est_sq)) if zo_arrays else 0.0
-
-    # summed left to right: from Python 3.12 on, sum() compensates and the
-    # mean could move in the last bit between interpreters
-    loss_pert_mean = functools.reduce(operator.add, losses) / n
-    return _record(step_index, loss_clean, loss_pert_mean, loss_clean + cfg.alpha * loss_pert_mean,
+        sq = add_scaled_noise(zo_arrays, seed, -cfg.eta_zo * coef)
+        est_norm = float(np.sqrt(np.float64(coef) ** 2 * sq)) if zo_arrays else 0.0
+    return _record(step_index, loss_clean, loss_pert, loss_clean + cfg.alpha * loss_pert,
                    _grad_norm(grads[name] for name in fo_names), est_norm, bwd,
                    model.tally.forward - fwd_before, t0)
 
@@ -249,9 +226,9 @@ def baseline_step_mezo(
         shift = -eps
         loss_minus = model.forward(batch)
     except NumericOverflowError:
-        add_scaled_noise(arrays, seed, -shift)  # put the parameters back before aborting
         return _diverged(step_index, model, fwd_before, t0)
-    add_scaled_noise(arrays, seed, +eps)  # restore
+    finally:
+        add_scaled_noise(arrays, seed, -shift)  # restore, also when the step aborts
     coef = (loss_plus - loss_minus) / (2 * eps)
     sq = add_scaled_noise(arrays, seed, -cfg.eta_zo * coef)
     mid = 0.5 * (loss_plus + loss_minus)
@@ -304,6 +281,8 @@ def train(
     batches = list(data)
     if cfg.max_steps > 0 and not batches:
         raise ConfigurationError("training needs at least one batch")
+    if eval_batches is not None and len(eval_batches) == 0:
+        raise ConfigurationError("evaluation needs at least one batch")
     if algorithm in ("hizfo", "frozen_subset"):
         if plan is None:
             raise ConfigurationError(f"{algorithm} requires a partition plan")

@@ -130,9 +130,9 @@ def solve_dp(profile: ImportanceProfile, cost: CostModel, rho: float, buckets: i
 
 
 def _finish(profile, cost, rho, fo, warning) -> PartitionPlan:
-    names = cost.names()
-    fo_ordered = [name for name in names if name in set(fo)]
-    zo = [name for name in names if name not in set(fo)]
+    names, fo = cost.names(), set(fo)
+    fo_ordered = [name for name in names if name in fo]
+    zo = [name for name in names if name not in fo]
     return PartitionPlan(
         fo_set=fo_ordered,
         zo_set=zo,

@@ -174,7 +174,7 @@ def rate_experiment(spec: TheoryRunSpec, T_grid=(100, 316, 1000, 3162, 10000)) -
 
 
 def descent_inequality_check(
-    spec: TheoryRunSpec, n_states=100, n_probes=400, seed=0, tolerance=3.5
+    spec: TheoryRunSpec, n_states=100, n_samples=400, seed=0, tolerance=3.5
 ):
     """Spot-check the smoothness descent bound at random states.
 
@@ -196,13 +196,13 @@ def descent_inequality_check(
         theta = rng.standard_normal(d) * rng.uniform(0.5, 3.0)
         g = obj.grad(theta)
         f0 = obj.value(theta)
-        ghat = forward_differences(obj, theta, mu, rng.standard_normal((n_probes, spec.d_zo)))
-        v = np.tile(np.concatenate([np.zeros(spec.d_zo), g[spec.d_zo :]]), (n_probes, 1))
+        ghat = forward_differences(obj, theta, mu, rng.standard_normal((n_samples, spec.d_zo)))
+        v = np.tile(np.concatenate([np.zeros(spec.d_zo), g[spec.d_zo :]]), (n_samples, 1))
         v[:, : spec.d_zo] = ghat
-        v[:, spec.d_zo :] += spec.sigma_fo * rng.standard_normal((n_probes, spec.d_fo))
-        nxt = obj.value_many(np.tile(theta, (n_probes, 1)) - eta * v)
+        v[:, spec.d_zo :] += spec.sigma_fo * rng.standard_normal((n_samples, spec.d_fo))
+        nxt = obj.value_many(np.tile(theta, (n_samples, 1)) - eta * v)
         lhs = float(nxt.mean())
-        se = float(nxt.std(ddof=1) / np.sqrt(n_probes))
+        se = float(nxt.std(ddof=1) / np.sqrt(n_samples))
         rhs = f0 - eta * float(g @ v.mean(axis=0)) + 0.5 * L * eta * eta * float(np.mean(np.sum(v * v, axis=1)))
         margin = lhs - rhs
         worst = max(worst, margin - tolerance * se)

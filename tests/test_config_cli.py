@@ -1,11 +1,15 @@
 import csv
 import json
 import os
+from dataclasses import fields
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hizfo.cli import main
 from hizfo.config import (
+    _SCHEMA,
     build_data,
     build_model,
     build_optimizer_config,
@@ -13,6 +17,7 @@ from hizfo.config import (
     parse_config,
     serialize_config,
 )
+from hizfo.optimizer import ALGORITHMS, OptimizerConfig
 from hizfo.tensors import ConfigurationError
 
 MLP_CFG = """
@@ -80,7 +85,54 @@ def strip_wall(path):
     return [[c for i, c in enumerate(r) if i not in drop] for r in rows]
 
 
+# a value each key accepts: one of its names for the enumerated string keys,
+# otherwise any finite value its type tag accepts
+_CHOICES = {
+    "kind": ("mlp", "attention_lm", "quadratic", "rosenbrock"),
+    "loss": ("cross_entropy", "mse"),
+    "dataset": ("two_moons", "char_corpus", "analytic"),
+    "algorithm": ALGORITHMS,
+    "fo_rule": ("sgd", "adamlike"),
+}
+_TEXT = st.text("abcdefghijklmnopqrstuvwxyz0123456789:,._/-", max_size=12)
+_FLOAT = st.floats(allow_nan=False, allow_infinity=False)
+_BY_TAG = {
+    "s": _TEXT,
+    "os": st.none() | _TEXT,
+    "i": st.integers(-2**63, 2**63),
+    "n": st.integers(0, 2**64),
+    "p": st.integers(1, 2**64),
+    "f": _FLOAT,
+    "nf": st.floats(min_value=0.0, allow_infinity=False),
+    "of": st.none() | _FLOAT,
+}
+
+
 class TestConfig:
+    @settings(derandomize=True, database=None, max_examples=40, deadline=None)
+    @given(st.data())
+    def test_serialize_parse_is_a_fixed_point(self, data):
+        # any subset of keys, sections and keys in any order, any spacing
+        parts = []
+        for section in data.draw(st.permutations(list(_SCHEMA))):
+            lines = [f"[{section}]"]
+            for key in data.draw(st.lists(st.sampled_from(list(_SCHEMA[section])), unique=True)):
+                tag = _SCHEMA[section][key][0]
+                value = data.draw(st.sampled_from(_CHOICES[key]) if key in _CHOICES else _BY_TAG[tag])
+                pad = data.draw(st.sampled_from(("", " ", "  ")))
+                lines.append(f"{key}{pad}={pad}{'' if value is None else value}")
+            parts.append("\n".join(lines))
+        cfg = parse_config("\n\n".join(parts) + "\n")
+        once = serialize_config(cfg)
+        assert parse_config(once).values == cfg.values
+        assert serialize_config(parse_config(once)) == once
+
+    def test_optimizer_keys_are_the_optimizer_config_fields(self):
+        # a field with no key cannot be set from a config; a key with no field
+        # fails build_optimizer_config
+        keys = set(_SCHEMA["optimizer"]) - {"algorithm"}
+        assert keys == {f.name for f in fields(OptimizerConfig)} - {"master_seed"}
+
     def test_round_trip_is_idempotent(self):
         text = MLP_CFG.format(out="runs/x")
         once = serialize_config(parse_config(text))
@@ -370,6 +422,8 @@ class TestCli:
         ("lm", "model", "context", "-1"),
         ("mlp", "task", "noise", "-1"),
         ("mlp", "task", "noise", "nan"),
+        ("mlp", "task", "noise", "inf"),
+        ("mlp", "optimizer", "probes", "2"),
         ("mlp", "task", "dataset", "analytic"),
         ("lm", "task", "dataset", "two_moons"),
         ("lm", "task", "corpus_path", "{tmp}"),

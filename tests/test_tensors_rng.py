@@ -2,6 +2,8 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hizfo.rng import add_scaled_noise, noise_generator, regenerate_noise, splitmix64, step_seed
 from hizfo.tensors import Batch, ConfigurationError, NumericOverflowError, ParamTensor
@@ -38,6 +40,19 @@ class TestRng:
         add_scaled_noise(arrays, 7, -1e-3)
         for a, b in zip(arrays, before):
             assert np.max(np.abs(a - b)) < 1e-18 + 4 * np.max(np.spacing(np.abs(b) + 1e-3))
+
+    @settings(derandomize=True, database=None, max_examples=100, deadline=None)
+    @given(st.lists(st.lists(st.integers(1, 5), min_size=1, max_size=3).map(tuple), min_size=1, max_size=4),
+           st.integers(0, 2**64 - 1), st.floats(1e-8, 1.0), st.integers(0, 2**32 - 1))
+    def test_perturb_then_restore_within_4_ulp(self, shapes, seed, eps, data_seed):
+        rng = np.random.default_rng(data_seed)
+        arrays = [rng.standard_normal(s) for s in shapes]
+        before = [a.copy() for a in arrays]
+        add_scaled_noise(arrays, seed, +eps)
+        add_scaled_noise(arrays, seed, -eps)
+        for a, b, u in zip(arrays, before, regenerate_noise(shapes, seed)):
+            ulp = np.spacing(np.maximum(np.abs(b), np.abs(b + eps * u)))
+            assert np.all(np.abs(a - b) <= 4 * ulp)
 
     def test_returned_sum_of_squares(self):
         a = np.zeros(1000)
