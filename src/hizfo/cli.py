@@ -208,9 +208,7 @@ def cmd_report(out: Path) -> int:
             f"final eval loss:    {report['final_eval_loss']}",
             f"backward FLOPs:     {report['total_backward_flops']}",
             f"forward FLOPs:      {report['total_forward_flops']}",
-            "memory proxy:       "
-            f"{proxy.get('tape_params', 0)} gradient-tape params + "
-            f"{proxy.get('optimizer_state_params', 0)} optimizer-state params",
+            f"memory proxy:       {proxy.get('tape_params', 0)} gradient-tape params",
             f"wall time:          {report['wall_total_ns'] / 1e9:.3f} s",
         )
     except (ValueError, KeyError, TypeError, AttributeError) as e:

@@ -24,9 +24,6 @@ _SCHEMA = {
         "kind": ("s", "mlp"),
         "seed": ("n", 0),
         "hidden_dims": ("s", "16"),
-        "input_dim": ("p", 2),
-        "output_dim": ("p", 2),
-        "loss": ("s", "cross_entropy"),
         "blocks": ("s", "10:1.0:0.0"),
         "d_model": ("p", 16),
         "depth": ("n", 2),
@@ -47,10 +44,6 @@ _SCHEMA = {
         "eta_zo": ("f", 2e-6),
         "epsilon": ("f", 1e-3),
         "alpha": ("f", 0.1),
-        "fo_rule": ("s", "sgd"),
-        "beta1": ("f", 0.9),
-        "beta2": ("f", 0.999),
-        "weight_decay": ("f", 0.0),
         "max_steps": ("n", 200),
         "eval_interval": ("i", 50),
     },
@@ -181,8 +174,8 @@ def build_model(cfg: ExperimentConfig) -> LayeredModel:
         return RosenbrockModel()
     if kind == "mlp":
         hidden = _model_list(cfg, "hidden_dims", _dim, skip_empty=True)
-        dims = [cfg.get("model", "input_dim"), *hidden, cfg.get("model", "output_dim")]
-        return MLPModel(dims=tuple(dims), loss=cfg.get("model", "loss"), seed=seed)
+        # the mlp trains on two-moons: 2 features in, a logit for each of 2 classes out
+        return MLPModel(dims=(2, *hidden, 2), seed=seed)
     if kind == "attention_lm":
         return TinyAttentionLM(
             vocab_size=_corpus(cfg).vocab.size,
@@ -244,10 +237,6 @@ def build_data(cfg: ExperimentConfig, model: LayeredModel):
         dummy = model.dummy_batch()
         return [dummy] * n_train, [dummy] * n_eval
     if dataset == "two_moons":
-        # 0/1 labels: mse regresses one output, cross-entropy needs a logit per class
-        if model.kind == "mlp" and (model.dims[-1] == 1) != (model.loss_kind == "mse"):
-            raise ConfigurationError(f"[model] output_dim {model.dims[-1]} does not fit loss "
-                                     f"{model.loss_kind!r} on two_moons")
         noise = cfg.get("task", "noise")
         train = two_moons_batches(n_train, bs, noise=noise, seed=seed)
         evalb = two_moons_batches(n_eval, bs, noise=noise, seed=seed + 10_000)

@@ -347,15 +347,12 @@ class _DenseLayer:
 
 
 class MLPModel(_SequentialModel):
-    """Dense tanh stack; final layer is linear into the loss head."""
+    """Dense tanh stack; the final layer is linear, one logit per class for the cross-entropy."""
 
     kind = "mlp"
 
-    def __init__(self, dims=(2, 16, 2), loss="cross_entropy", seed=0):
+    def __init__(self, dims=(2, 16, 2), seed=0):
         super().__init__()
-        if loss not in ("cross_entropy", "mse"):
-            raise ConfigurationError(f"unsupported loss {loss!r}")
-        self.loss_kind = loss
         self.dims = tuple(int(d) for d in dims)
         rng = np.random.default_rng(seed)
         n = len(self.dims) - 1
@@ -373,14 +370,6 @@ class MLPModel(_SequentialModel):
         if x.ndim != 2 or x.shape[1] != self.dims[0]:
             raise ConfigurationError(f"mlp expects inputs (batch, {self.dims[0]}), got {x.shape}")
         return x
-
-    def _loss(self, logits, batch):
-        if self.loss_kind == "cross_entropy":
-            return super()._loss(logits, batch)
-        B = logits.shape[0]
-        diff = logits - np.asarray(batch.targets, dtype=np.float64).reshape(logits.shape)
-        return 0.5 * float((diff * diff).sum()) / B, diff / B
-
 
 
 class _EmbeddingLayer:

@@ -29,7 +29,6 @@ from .rng import add_scaled_noise, step_seed
 from .tensors import Batch, ConfigurationError, NumericOverflowError, Role
 
 ALGORITHMS = ("hizfo", "full_fo", "frozen_subset", "mezo")
-_ADAM_EPS = 1e-8  # keeps the adamlike step finite where the second moment is 0
 
 
 @dataclass
@@ -39,10 +38,6 @@ class OptimizerConfig:
     epsilon: float = 1e-3
     alpha: float = 0.1
     master_seed: int = 0
-    fo_rule: str = "sgd"          # "sgd" or "adamlike"
-    beta1: float = 0.9
-    beta2: float = 0.999
-    weight_decay: float = 0.0
     max_steps: int = 100
     eval_interval: int = 50
 
@@ -53,14 +48,6 @@ class OptimizerConfig:
             raise ConfigurationError("learning rates must be finite and > 0")
         if not 0 <= self.alpha < np.inf:
             raise ConfigurationError("alpha must be finite and >= 0")
-        if self.fo_rule not in ("sgd", "adamlike"):
-            raise ConfigurationError(f"unknown fo_rule {self.fo_rule!r}")
-        if not 0 <= self.weight_decay < np.inf:
-            raise ConfigurationError("weight_decay must be finite and >= 0")
-        if self.weight_decay and self.fo_rule != "adamlike":
-            raise ConfigurationError("weight_decay applies only with fo_rule = adamlike")
-        if self.fo_rule == "adamlike" and not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
-            raise ConfigurationError(f"beta1 and beta2 must be in [0, 1), got {self.beta1}, {self.beta2}")
 
 
 @dataclass
@@ -78,36 +65,15 @@ class StepRecord:
 
 
 class FoUpdater:
-    """Applies the first-order rule; owns AdamLike state for FO tensors only."""
+    """SGD at ``eta_fo`` on the FO tensors; the steps take it as ``fo_updater`` so a caller can swap it."""
 
     def __init__(self, cfg: OptimizerConfig):
         self.cfg = cfg
-        self.state: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-        self.count = 0
 
     @np.errstate(over="ignore", invalid="ignore")
     def apply(self, tensors, grads) -> None:
-        cfg = self.cfg
-        if cfg.fo_rule == "sgd":
-            for t in tensors:
-                t.data -= cfg.eta_fo * grads[t.name]
-            return
-        self.count += 1
-        b1, b2 = cfg.beta1, cfg.beta2
         for t in tensors:
-            g = grads[t.name]
-            if t.name not in self.state:
-                self.state[t.name] = (np.zeros_like(t.data), np.zeros_like(t.data))
-            m, v = self.state[t.name]
-            m *= b1
-            m += (1 - b1) * g
-            v *= b2
-            v += (1 - b2) * g * g
-            mhat = m / (1 - b1**self.count)
-            vhat = v / (1 - b2**self.count)
-            if cfg.weight_decay:
-                t.data -= cfg.eta_fo * cfg.weight_decay * t.data
-            t.data -= cfg.eta_fo * mhat / (np.sqrt(vhat) + _ADAM_EPS)
+            t.data -= self.cfg.eta_fo * grads[t.name]
 
 
 def _grad_norm(grads) -> float:
@@ -201,7 +167,7 @@ def _fo_step(model, batch, cfg, step_index, fo_updater, tensors) -> StepRecord:
         return _diverged(step_index, model, fwd_before, t0)
     grads = model.backward_from_cache(batch, cache, [t.name for t in tensors])
     updater.apply(tensors, grads)
-    return _record(step_index, loss, 0.0, loss + cfg.alpha * 0.0, _grad_norm(grads.values()), 0.0,
+    return _record(step_index, loss, 0.0, loss, _grad_norm(grads.values()), 0.0,
                    model.tally.backward - bwd_before, model.tally.forward - fwd_before, t0)
 
 
@@ -232,7 +198,7 @@ def baseline_step_mezo(
     coef = (loss_plus - loss_minus) / (2 * eps)
     sq = add_scaled_noise(arrays, seed, -cfg.eta_zo * coef)
     mid = 0.5 * (loss_plus + loss_minus)
-    return _record(step_index, mid, 0.0, mid + cfg.alpha * 0.0, 0.0,
+    return _record(step_index, mid, 0.0, mid, 0.0,
                    abs(coef) * float(np.sqrt(sq)), 0, model.tally.forward - fwd_before, t0)
 
 
@@ -250,8 +216,12 @@ class RunReport:
     memory_proxy: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        """Every field but the step records, which steps.csv holds."""
-        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "records"}
+        """Every field but the step records, which steps.csv holds. JSON has
+        no inf: a diverged run's final eval loss is written as None (null)."""
+        d = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "records"}
+        loss = self.final_eval_loss
+        d["final_eval_loss"] = loss if loss is not None and np.isfinite(loss) else None
+        return d
 
 
 def evaluate(model: LayeredModel, batches) -> float:
@@ -259,11 +229,13 @@ def evaluate(model: LayeredModel, batches) -> float:
 
 
 def _evaluate_or_none(model: LayeredModel, batches) -> float | None:
-    """The eval loss, or None when a forward pass overflows: the run diverged."""
+    """The eval loss, or None when a forward pass or the mean overflows: the run diverged."""
     try:
-        return evaluate(model, batches)
+        with np.errstate(over="ignore"):
+            loss = evaluate(model, batches)
     except NumericOverflowError:
         return None
+    return loss if np.isfinite(loss) else None
 
 
 def train(
@@ -336,8 +308,5 @@ def train(
         total_backward_flops=int(sum(r.backward_flops for r in records)),
         total_forward_flops=int(sum(r.forward_flops for r in records)),
         wall_total_ns=time.perf_counter_ns() - t_start,
-        memory_proxy={
-            "tape_params": int(sum(t.size for t in taped)),
-            "optimizer_state_params": int(sum(m.size + v.size for m, v in updater.state.values())),
-        },
+        memory_proxy={"tape_params": int(sum(t.size for t in taped))},
     )

@@ -1,6 +1,10 @@
+import contextlib
 import csv
+import io
 import json
 import os
+import tempfile
+import warnings
 from dataclasses import fields
 
 import pytest
@@ -70,6 +74,18 @@ out_dir = {out}
 """
 
 
+QUADRATIC_CFG = """
+[model]
+kind = quadratic
+
+[task]
+dataset = analytic
+
+[run]
+out_dir = {out}
+"""
+
+
 def with_value(text, section, key, value):
     """`text` with [section] `key` set to `value` and no other line for it."""
     lines = [line for line in text.splitlines() if not line.startswith(f"{key} =")]
@@ -89,10 +105,8 @@ def strip_wall(path):
 # otherwise any finite value its type tag accepts
 _CHOICES = {
     "kind": ("mlp", "attention_lm", "quadratic", "rosenbrock"),
-    "loss": ("cross_entropy", "mse"),
     "dataset": ("two_moons", "char_corpus", "analytic"),
     "algorithm": ALGORITHMS,
-    "fo_rule": ("sgd", "adamlike"),
 }
 _TEXT = st.text("abcdefghijklmnopqrstuvwxyz0123456789:,._/-", max_size=12)
 _FLOAT = st.floats(allow_nan=False, allow_infinity=False)
@@ -106,6 +120,13 @@ _BY_TAG = {
     "nf": st.floats(min_value=0.0, allow_infinity=False),
     "of": st.none() | _FLOAT,
 }
+
+
+# edge values for the fuzz: bounds, non-finite and huge floats, the empty
+# string, a word, and every name an enumerated key takes
+_EDGE_VALUES = ("0", "-1", "2", "3", "nan", "inf", "-inf", "1e300", "", "abc",
+                *_CHOICES["kind"], *_CHOICES["dataset"], *ALGORITHMS, "3:1.0:0.0")
+_FUZZ_KEYS = [(s, k) for s in _SCHEMA for k in _SCHEMA[s] if (s, k) != ("run", "out_dir")]
 
 
 class TestConfig:
@@ -139,8 +160,13 @@ class TestConfig:
         assert serialize_config(parse_config(once)) == once
 
     def test_unknown_key_rejected(self):
-        with pytest.raises(ConfigurationError):
-            parse_config("[model]\nkindd = mlp\n")
+        # a typo, and the keys of the removed Adam-like FO rule, MSE head
+        # and free MLP input and output widths
+        for section, key in [("model", "kindd"), ("model", "input_dim"), ("model", "output_dim"),
+                             ("model", "loss"), ("optimizer", "fo_rule"), ("optimizer", "beta1"),
+                             ("optimizer", "beta2"), ("optimizer", "weight_decay")]:
+            with pytest.raises(ConfigurationError, match=rf"^unknown config key \[{section}\] {key}$"):
+                parse_config(f"[{section}]\n{key} = 1\n")
 
     def test_unknown_section_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -234,6 +260,24 @@ class TestCli:
         )
         cfg = self.write_cfg(tmp_path, text)
         assert self.run_cli("train", "--config", str(cfg)) == 2
+
+    def test_diverged_report_is_strict_json(self, tmp_path, capsys):
+        text = (
+            "[model]\nkind = quadratic\n"
+            "[task]\ndataset = analytic\n"
+            "[optimizer]\nalgorithm = full_fo\neta_fo = 1000\n"
+            f"[run]\nout_dir = {tmp_path / 'out'}\n"
+        )
+        cfg = self.write_cfg(tmp_path, text)
+        assert self.run_cli("train", "--config", str(cfg)) == 2
+
+        def reject(token):
+            raise ValueError(f"{token} is not JSON")
+
+        report = json.loads((tmp_path / "out" / "report.json").read_text(), parse_constant=reject)
+        assert report["diverged"] and report["final_eval_loss"] is None
+        assert self.run_cli("report", "--out", str(tmp_path / "out")) == 0
+        assert "final eval loss:    None" in capsys.readouterr().out
 
     def test_sweep_axis_and_medians(self, tmp_path):
         cfg = self.write_cfg(tmp_path)
@@ -424,6 +468,7 @@ class TestCli:
         ("mlp", "task", "noise", "nan"),
         ("mlp", "task", "noise", "inf"),
         ("mlp", "optimizer", "probes", "2"),
+        ("mlp", "optimizer", "fo_rule", "adamlike"),
         ("mlp", "task", "dataset", "analytic"),
         ("lm", "task", "dataset", "two_moons"),
         ("lm", "task", "corpus_path", "{tmp}"),
@@ -451,7 +496,6 @@ class TestCli:
         ("mlp", {"eta_zo": "inf"}),
         ("mlp", {"epsilon": "inf"}),
         ("mlp", {"alpha": "inf"}),
-        ("mlp", {"fo_rule": "adamlike", "weight_decay": "inf"}),
         ("mlp", {"warmup_lr": "-1"}),
         ("mlp", {"warmup_lr": "0"}),
         ("mlp", {"warmup_lr": "nan"}),
@@ -459,7 +503,7 @@ class TestCli:
         ("quadratic", {"blocks": "3:nan:0.0"}),
         ("quadratic", {"blocks": "3:1.0:nan"}),
         ("quadratic", {"blocks": "3:inf:0.0"}),
-    ], ids=["inf_eta_fo", "inf_eta_zo", "inf_epsilon", "inf_alpha", "inf_weight_decay",
+    ], ids=["inf_eta_fo", "inf_eta_zo", "inf_epsilon", "inf_alpha",
             "negative_warmup_lr", "zero_warmup_lr", "nan_warmup_lr", "inf_warmup_lr",
             "nan_curvature", "nan_target", "inf_curvature"])
     def test_nonfinite_or_nonpositive_rate_is_config_error(self, tmp_path, capsys, base, settings):
@@ -476,6 +520,34 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and err.count("\n") == 1
         assert not out.exists()
+
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(st.data())
+    def test_fuzzed_config_never_gives_a_traceback(self, data):
+        # one line on stderr at most: a warning printed next to the error
+        # line would be a second, so warnings fail the property too
+        base = data.draw(st.sampled_from((MLP_CFG, LM_CFG, QUADRATIC_CFG)))
+        keys = data.draw(st.lists(st.sampled_from(_FUZZ_KEYS), min_size=1, max_size=3, unique=True))
+        with tempfile.TemporaryDirectory() as tmp:
+            corpus = os.path.join(tmp, "corpus.txt")
+            with open(corpus, "w") as f:
+                f.write("the cat sat on the mat " * 20)
+            text = base.format(corpus=corpus, out=os.path.join(tmp, "out"))
+            for section in _SCHEMA:
+                if f"[{section}]" not in text:
+                    text += f"\n[{section}]\n"
+            for section, key in keys:
+                text = with_value(text, section, key, data.draw(st.sampled_from(_EDGE_VALUES)))
+            cfg = os.path.join(tmp, "exp.cfg")
+            with open(cfg, "w") as f:
+                f.write(text)
+            err = io.StringIO()
+            with warnings.catch_warnings(), contextlib.redirect_stderr(err), \
+                    contextlib.redirect_stdout(io.StringIO()):
+                warnings.simplefilter("error")
+                code = main(["train", "--config", cfg])
+        assert code in (0, 1, 2), text
+        assert err.getvalue().count("\n") <= 1, (text, err.getvalue())
 
     @pytest.mark.parametrize("algorithm", ["hizfo", "full_fo"])
     def test_attention_lm_trains_through_the_cli(self, tmp_path, algorithm):

@@ -153,10 +153,11 @@ class TestGradients:
         assert m.tally.forward - before == m.cost_model(batch.size).total_forward_flops
 
     def test_overflowing_loss_with_finite_activations_raises(self):
-        # one linear layer keeps the 1e200 activations finite; only the
-        # squared error overflows
-        m = MLPModel(dims=(2, 2), loss="mse", seed=0)
-        batch = Batch(np.full((4, 2), 1e200), np.zeros((4, 2)))
+        # one linear layer gives the finite logits (x0, -x0) = (1e308, -1e308);
+        # only the cross-entropy of class 1 overflows
+        m = MLPModel(dims=(2, 2), seed=0)
+        m.tensor("layer0.weight").data[:] = [1.0, -1.0, 0.0, 0.0]
+        batch = Batch(np.full((4, 2), 1e308), np.ones(4, dtype=int))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NumericOverflowError):
@@ -324,11 +325,12 @@ class TestDeterminismAndErrors:
         assert exc.value.layer_index == first_block_index
 
     def test_nonfinite_loss_overflow(self):
-        m = MLPModel(dims=(2, 16, 2), loss="mse", seed=0)
-        m.tensor("layer0.weight").data[:] = 1e200  # squared error overflows
-        batch = Batch(np.ones((4, 2)), np.zeros((4, 2)))
-        with pytest.raises(NumericOverflowError):
+        m = MLPModel(dims=(2, 2), seed=0)
+        m.tensor("layer0.weight").data[:] = [1.0, -1.0, 0.0, 0.0]  # logits (x0, -x0)
+        batch = Batch(np.full((4, 2), 1e308), np.ones(4, dtype=int))
+        with pytest.raises(NumericOverflowError, match="non-finite loss") as exc:
             m.forward(batch)
+        assert exc.value.layer_index == 0
 
     def test_lm_token_range_checked(self):
         m = TinyAttentionLM(vocab_size=10, d_model=8, depth=1, context=8, seed=0)

@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import warnings
 from dataclasses import astuple
 
 import numpy as np
@@ -370,34 +371,6 @@ def test_golden_hybrid_steps(alpha):
     assert (records, params) == GOLDEN_STEPS[alpha]
 
 
-class TestAdamLike:
-    def test_state_only_for_fo_tensors(self):
-        m, plan = mlp_with_split()
-        batch = two_moons_batches(1, 32, seed=3)[0]
-        cfg = OptimizerConfig(fo_rule="adamlike", **CFG)
-        upd = FoUpdater(cfg)
-        for s in range(3):
-            hizfo_step(m, batch, cfg, s, fo_updater=upd)
-        assert set(upd.state) == set(plan.fo_set)
-
-    def test_adamlike_descends_quadratic(self):
-        m = one_d_quadratic(theta=5.0, role=Role.FO)
-        cfg = OptimizerConfig(eta_fo=0.1, eta_zo=1e-6, epsilon=1e-3, fo_rule="adamlike", master_seed=0)
-        upd = FoUpdater(cfg)
-        for s in range(50):
-            baseline_step_full_fo(m, m.dummy_batch(), cfg, s, fo_updater=upd)
-        assert abs(m.tensors()[0].data[0]) < 5.0 * 0.5
-
-    def test_weight_decay_shrinks_parameters(self):
-        m = one_d_quadratic(theta=1.0, role=Role.FO)
-        m.curvatures[0] = 0.0  # no gradient signal, pure decay
-        cfg = OptimizerConfig(eta_fo=0.1, eta_zo=1e-6, epsilon=1e-3, fo_rule="adamlike",
-                              weight_decay=0.5, master_seed=0)
-        upd = FoUpdater(cfg)
-        baseline_step_full_fo(m, m.dummy_batch(), cfg, 0, fo_updater=upd)
-        assert m.tensors()[0].data[0] < 1.0
-
-
 class TestTrain:
     def test_zero_steps_empty_report(self):
         m, plan = mlp_with_split()
@@ -436,15 +409,26 @@ class TestTrain:
     def test_overflowing_eval_reports_divergence(self, eval_interval):
         # the training step is fine, but the eval forward overflows (the
         # periodic eval with interval 1, the final one with interval 0)
-        m = MLPModel(dims=(2, 2), loss="mse", seed=0)
-        batch = Batch(np.full((4, 2), 1e308), np.zeros((4, 2)))
+        m = MLPModel(dims=(2, 2), seed=0)
+        m.tensor("layer0.weight").data[:] = [1.0, -1.0, 0.0, 0.0]  # logits (x0, -x0)
+        batch = Batch(np.full((4, 2), 1e308), np.ones(4, dtype=int))
         with pytest.raises(NumericOverflowError):
             m.forward(batch)
         cfg = OptimizerConfig(max_steps=1, eval_interval=eval_interval, **CFG)
-        train_batch = Batch(np.ones((4, 2)), np.zeros((4, 2)))
+        train_batch = Batch(np.ones((4, 2)), np.ones(4, dtype=int))
         report = train(m, [train_batch], cfg, None, "full_fo", eval_batches=[batch])
         assert report.steps_run == 1 and not report.records[0].diverged
         assert report.diverged and report.final_eval_loss == float("inf")
+
+    def test_overflowing_eval_mean_reports_divergence(self):
+        # each eval batch's loss (7.2e307) is finite, their sum is not
+        m = one_d_quadratic(theta=1.2e154, role=Role.FO)
+        cfg = OptimizerConfig(max_steps=0, **CFG)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = train(m, [m.dummy_batch()], cfg, None, "full_fo", eval_batches=[m.dummy_batch()] * 3)
+        assert report.diverged and report.final_eval_loss == float("inf")
+        assert report.eval_history == [] and report.to_dict()["final_eval_loss"] is None
 
     def test_empty_eval_batches_rejected_before_any_step(self):
         m, plan = mlp_with_split()
@@ -466,11 +450,10 @@ class TestTrain:
 
     def test_memory_proxy_reported(self):
         m, plan = mlp_with_split()
-        cfg = OptimizerConfig(max_steps=2, fo_rule="adamlike", **CFG)
+        cfg = OptimizerConfig(max_steps=2, **CFG)
         report = train(m, two_moons_batches(1, 16, seed=0), cfg, plan, "hizfo")
         fo_elems = sum(t.size for t in m.tensors_with_role(Role.FO))
-        assert report.memory_proxy["tape_params"] == fo_elems
-        assert report.memory_proxy["optimizer_state_params"] == 2 * fo_elems
+        assert report.memory_proxy == {"tape_params": fo_elems}
 
     def test_step_csv_contract(self, tmp_path):
         m, plan = mlp_with_split()
@@ -487,22 +470,12 @@ class TestTrain:
 
 class TestConfigValidation:
     @pytest.mark.parametrize("kwargs", [
-        dict(weight_decay=0.5),  # the sgd rule would ignore it
-        dict(weight_decay=-0.1, fo_rule="adamlike"),
-        dict(fo_rule="adamlike", beta1=1.0),
-        dict(fo_rule="adamlike", beta2=1.0),
-        dict(fo_rule="adamlike", beta1=-0.1),
         dict(epsilon=float("nan")),
         dict(alpha=float("nan")),
-    ], ids=["decay_with_sgd", "negative_decay", "beta1_one", "beta2_one", "negative_beta1",
-            "nan_epsilon", "nan_alpha"])
+    ], ids=["nan_epsilon", "nan_alpha"])
     def test_values_only_it_reads_are_checked(self, kwargs):
         with pytest.raises(ConfigurationError):
             OptimizerConfig(**kwargs)
-
-    def test_adamlike_values_in_range_accepted(self):
-        OptimizerConfig(fo_rule="adamlike", beta1=0.0, beta2=0.5, weight_decay=0.5)
-        OptimizerConfig(fo_rule="sgd", beta1=1.0, beta2=1.0)  # betas are adamlike's alone
 
     def test_epsilon_positive(self):
         with pytest.raises(ConfigurationError):
@@ -517,7 +490,3 @@ class TestConfigValidation:
     def test_alpha_nonnegative(self):
         with pytest.raises(ConfigurationError):
             OptimizerConfig(alpha=-0.1)
-
-    def test_fo_rule_checked(self):
-        with pytest.raises(ConfigurationError):
-            OptimizerConfig(fo_rule="momentum")

@@ -1,6 +1,7 @@
 """The functions and methods the benchmark's tracer wraps must stay where its
-table names them, so a change that deletes or moves one fails in tier-1 and
-not only in ``pytest perfbench``. The tracer is read by path, unchanged."""
+table names them, and the calls its harness makes must keep working, so a
+change that deletes or moves one fails in tier-1 and not only in ``pytest
+perfbench``. The tracer and the harness are read by path, unchanged."""
 
 import importlib
 import importlib.util
@@ -9,17 +10,20 @@ from pathlib import Path
 
 import pytest
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def _load_tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+def _load(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module  # dataclasses look their module up there
     spec.loader.exec_module(module)
     return module
 
 
-tracing = _load_tracing()
+tracing = _load("perfbench_tracing", PERFBENCH / "tracing.py")
+sys.modules.setdefault("tracing", tracing)  # the name the harness imports it by
+harness = _load("perfbench_harness", PERFBENCH / "harness.py")
 
 
 @pytest.mark.parametrize("kind,module,owner,attr", tracing.WRAPPED, ids=[w[0] for w in tracing.WRAPPED])
@@ -58,3 +62,16 @@ def test_install_then_uninstall_puts_every_attribute_back():
         home = sys.modules[module]
         assert ((getattr(home, owner) if owner else home), attr) in patched, (module, owner, attr)
     assert _changed(before) == []
+
+
+def test_harness_steps_every_algorithm(tmp_path):
+    # the set-up path and one step of each algorithm, as the benchmark calls
+    # them: the config keys, OptimizerConfig fields, FoUpdater and the
+    # fo_updater= keyword it passes must all still be accepted
+    w = harness.WORKLOADS["mlp_moons_train"]
+    setup = harness.set_up(harness.make_inputs(w, 7, tmp_path, steps=5))
+    checks = harness.Checks()
+    trainer = harness.Trainer(setup, 10**9, w.reference, checks)
+    for a in trainer.algs:
+        trainer.step(a)
+    assert checks.attempted > 0 and checks.failed == 0, checks.notes
