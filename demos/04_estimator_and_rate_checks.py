@@ -1,11 +1,12 @@
 """Empirical properties of the finite-difference estimator, end to end.
 
-Four views of the same estimator the optimizer uses:
+Four views of the estimator the optimizer uses; views 1-3 run a vectorized
+copy of its formula and view 4 the shipped hybrid step:
   1. it is unbiased on quadratics,
   2. its bias on a quartic shrinks like the perturbation scale squared,
   3. its second moment obeys the dimension-scaled bound,
-  4. the hybrid loop's best true gradient norm decays with the step budget
-     at the expected log-log slope.
+  4. the shipped hybrid step's best true gradient norm decays with the step
+     budget at the expected log-log slope.
 """
 
 import numpy as np

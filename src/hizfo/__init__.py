@@ -17,7 +17,6 @@ from .models import (
     LayeredModel,
     MLPModel,
     QuadraticModel,
-    RosenbrockModel,
     TinyAttentionLM,
     backward_truncated,
     flops_profile,

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 
 from .datasets import CharCorpus, two_moons_batches
-from .models import LayeredModel, MLPModel, QuadraticModel, RosenbrockModel, TinyAttentionLM
+from .models import LayeredModel, MLPModel, QuadraticModel, TinyAttentionLM
 from .optimizer import ALGORITHMS, OptimizerConfig
 from .tensors import ConfigurationError
 
@@ -100,7 +100,7 @@ class ExperimentConfig:
     def warmup(self) -> tuple[int, float]:
         lr = self.get("partition", "warmup_lr")
         if lr is None:
-            lr = 1e-2 if self.get("model", "kind") in ("quadratic", "rosenbrock") else 1e-3
+            lr = 1e-2 if self.get("model", "kind") == "quadratic" else 1e-3
         return self.get("partition", "warmup_steps"), lr
 
 
@@ -170,8 +170,6 @@ def build_model(cfg: ExperimentConfig) -> LayeredModel:
     if kind == "quadratic":
         blocks = _model_list(cfg, "blocks", _block, skip_empty=False)
         return QuadraticModel(blocks=tuple(blocks), seed=seed)
-    if kind == "rosenbrock":
-        return RosenbrockModel()
     if kind == "mlp":
         hidden = _model_list(cfg, "hidden_dims", _dim, skip_empty=True)
         # the mlp trains on two-moons: 2 features in, a logit for each of 2 classes out
@@ -218,7 +216,7 @@ def _corpus(cfg: ExperimentConfig) -> CharCorpus:
         return CharCorpus(f.read(), cfg.get("model", "context"))
 
 
-# the dataset each model kind trains on; the analytic models ignore the batch
+# the dataset each model kind trains on; the quadratic model ignores the batch
 _DATASET_OF = {"mlp": "two_moons", "attention_lm": "char_corpus"}
 
 

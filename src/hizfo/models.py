@@ -1,9 +1,8 @@
 """The differentiable model zoo and its FLOPs cost model.
 
-Four model kinds, all float64 and fully deterministic given their seed:
+Three model kinds, all float64 and fully deterministic given their seed:
 
 * ``QuadraticModel``    -- independent quadratic blocks, closed-form gradients.
-* ``RosenbrockModel``   -- the classic banana valley, two 1-d tensors.
 * ``MLPModel``          -- dense tanh stack for the synthetic classification task.
 * ``TinyAttentionLM``   -- single-head causal attention + MLP blocks, byte-level
                            next-token loss.
@@ -179,19 +178,13 @@ class LayeredModel:
         return grads
 
 
-class _AnalyticModel(LayeredModel):
-    """A closed-form objective of one tensor per layer: the batch is ignored,
-    each tensor costs one FLOP per element and there is no activation chain
-    to propagate through."""
-
-    def dummy_batch(self) -> Batch:
-        return Batch(np.zeros((1, 1)), np.zeros((1, 1)))
-
-
-class QuadraticModel(_AnalyticModel):
-    """Sum of independent quadratic blocks 0.5*c*||theta - target||^2.
+class QuadraticModel(LayeredModel):
+    """Sum of independent quadratic blocks 0.5*sum(c*(theta - target)^2).
 
     Each block is one tensor in its own layer; gradients are closed-form.
+    A block's curvature c is a scalar or one entry per element. The batch
+    is ignored, each tensor costs one FLOP per element and there is no
+    activation chain to propagate through.
     """
 
     kind = "quadratic"
@@ -205,18 +198,19 @@ class QuadraticModel(_AnalyticModel):
         for i, (dim, curvature, target) in enumerate(blocks):
             dim = int(dim)
             init = rng.uniform(-1.0, 1.0, size=dim)
-            t = ParamTensor(f"block{i}", (dim,), init)
-            layer = _AnalyticLayer([t])
-            layers.append(layer)
-            self.curvatures.append(float(curvature))
+            layers.append(_AnalyticLayer([ParamTensor(f"block{i}", (dim,), init)]))
+            self.curvatures.append(np.broadcast_to(np.asarray(curvature, float), (dim,)))
             self.targets.append(np.full(dim, float(target)))
         self._register(layers)
+
+    def dummy_batch(self) -> Batch:
+        return Batch(np.zeros((1, 1)), np.zeros((1, 1)))
 
     def _forward(self, batch):
         loss = 0.0
         for t, c, tgt in zip(self._tensors, self.curvatures, self.targets):
             d = t.data - tgt
-            loss += 0.5 * c * float(d @ d)
+            loss += 0.5 * float(d @ (c * d))
         return loss, None
 
     def _backward(self, batch, cache, active):
@@ -224,35 +218,6 @@ class QuadraticModel(_AnalyticModel):
         for t, c, tgt in zip(self._tensors, self.curvatures, self.targets):
             if t.name in active:
                 grads[t.name] = c * (t.data - tgt)
-        return grads
-
-
-class RosenbrockModel(_AnalyticModel):
-    """(a - x)^2 + b*(y - x^2)^2 with tensors x (layer 0) and y (layer 1)."""
-
-    kind = "rosenbrock"
-
-    def __init__(self, a=1.0, b=100.0, x0=-1.2, y0=1.0):
-        super().__init__()
-        self.a = float(a)
-        self.b = float(b)
-        tx = ParamTensor("x", (1,), [float(x0)])
-        ty = ParamTensor("y", (1,), [float(y0)])
-        self._register([_AnalyticLayer([tx]), _AnalyticLayer([ty])])
-
-    def _forward(self, batch):
-        x = self._tensors[0].data[0]
-        y = self._tensors[1].data[0]
-        return (self.a - x) ** 2 + self.b * (y - x * x) ** 2, None
-
-    def _backward(self, batch, cache, active):
-        x = self._tensors[0].data[0]
-        y = self._tensors[1].data[0]
-        grads = {}
-        if "x" in active:
-            grads["x"] = np.array([-2.0 * (self.a - x) - 4.0 * self.b * x * (y - x * x)])
-        if "y" in active:
-            grads["y"] = np.array([2.0 * self.b * (y - x * x)])
         return grads
 
 

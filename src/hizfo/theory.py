@@ -2,8 +2,9 @@
 
 Everything here runs on synthetic objectives with analytic gradients, so
 the measured quantities (true gradient norms, estimator bias, moments) are
-exact up to Monte-Carlo error. The forward-difference estimator under test
-is the same one the optimizer applies:
+exact up to Monte-Carlo error. The rate experiment drives the shipped
+``hizfo_step`` on a ``QuadraticModel``. The estimator checks run a
+vectorized copy of the forward-difference formula the step applies:
 
     g_hat = (f(theta + mu * u) - f(theta)) / mu * u,   u ~ N(0, I)
 
@@ -19,15 +20,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .models import QuadraticModel
+from .optimizer import OptimizerConfig, hizfo_step
 from .rng import step_seed
+from .tensors import Role
 
 
 @dataclass
 class TheoryRunSpec:
     d_zo: int = 16
     d_fo: int = 4
-    sigma_fo: float = 0.5        # FO gradient noise scale
-    sigma_zo: float = 0.5        # additive ZO estimator noise scale
+    sigma_fo: float = 0.5        # gradient noise scale of every coordinate
     gap0: float = 50.0           # initial optimality gap f(theta_0) - f*
     seed: int = 0
 
@@ -123,38 +126,42 @@ class RateResult:
 
 
 def hybrid_run_min_grad_sq(spec: TheoryRunSpec, T: int) -> tuple[float, bool]:
-    """Run T hybrid steps on the noisy quadratic; return min_t ||grad f(theta_t)||^2.
+    """Run T steps of ``hizfo_step`` on the noisy quadratic; return
+    (min_t ||grad f(theta_t)||^2, diverged).
 
-    The first d_zo coordinates use the forward-difference estimate, the rest
-    the analytic gradient plus injected gaussian noise. The tracked gradient
-    is the true analytic one, not the estimate.
+    The first d_zo coordinates form the ZO tensor, the rest the FO tensor.
+    Before each step the targets move to a fresh offset sigma_fo * xi / c,
+    so every coordinate's gradient carries N(0, sigma_fo^2) noise; the
+    tracked gradient is the true one of the mean objective, c * theta.
     """
-    obj = QuadraticObjective(spec.curvatures())
-    d = spec.d_zo + spec.d_fo
+    c = spec.curvatures()
+    parts = [(0, spec.d_zo, Role.ZO), (spec.d_zo, c.size, Role.FO)]
+    parts = [(lo, hi, role) for lo, hi, role in parts if hi > lo]
+    model = QuadraticModel([(hi - lo, c[lo:hi], 0.0) for lo, hi, _ in parts])
     rng = np.random.default_rng(step_seed(spec.seed, T))
-    theta = rng.standard_normal(d)
+    theta = rng.standard_normal(c.size)
     # scale the start so f(theta_0) equals the requested optimality gap
-    f0 = obj.value(theta)
+    f0 = QuadraticObjective(c).value(theta)
     if f0 > 0:
         theta *= np.sqrt(spec.gap0 / f0)
+    for t, (lo, hi, role) in zip(model.tensors(), parts):
+        t.data[:] = theta[lo:hi]
+        t.role = role
     eta = 1.0 / np.sqrt(T)
-    mu = 1.0 / np.sqrt(max(spec.d_zo, 1) * T)
+    cfg = OptimizerConfig(eta_fo=eta, eta_zo=eta, epsilon=1.0 / np.sqrt(max(spec.d_zo, 1) * T),
+                          alpha=0.0, master_seed=spec.seed)
+    batch = model.dummy_batch()
     best = np.inf
-    for _ in range(T):
-        g = obj.grad(theta)
+    for step in range(T):
+        g = c * np.concatenate([t.data for t in model.tensors()])
         best = min(best, float(g @ g))
         if not np.isfinite(best):
             return float("inf"), True
-        g_fo = g[spec.d_zo :] + spec.sigma_fo * rng.standard_normal(spec.d_fo)
-        if spec.d_zo:
-            u = rng.standard_normal(spec.d_zo)
-            pert = theta.copy()
-            pert[: spec.d_zo] += mu * u
-            ghat = (obj.value(pert) - obj.value(theta)) / mu * u
-            if spec.sigma_zo:
-                ghat = ghat + spec.sigma_zo * rng.standard_normal(spec.d_zo)
-            theta[: spec.d_zo] -= eta * ghat
-        theta[spec.d_zo :] -= eta * g_fo
+        offset = spec.sigma_fo * rng.standard_normal(c.size) / c
+        for tgt, (lo, hi, _) in zip(model.targets, parts):
+            tgt[:] = offset[lo:hi]
+        if hizfo_step(model, batch, cfg, step).diverged:
+            return float("inf"), True
     return best, False
 
 

@@ -17,7 +17,6 @@ from hizfo.models import (
     CostModel,
     MLPModel,
     QuadraticModel,
-    RosenbrockModel,
     TinyAttentionLM,
     backward_truncated,
     flops_profile,
@@ -81,7 +80,7 @@ def test_criterion_01_gradient_correctness():
     lm = TinyAttentionLM(vocab_size=20, d_model=8, depth=2, context=8, seed=3)
     cases = [
         ("quadratic", QuadraticModel(blocks=((6, 2.0, 0.5), (4, 0.3, -1.0)), seed=1), None),
-        ("rosenbrock", RosenbrockModel(), None),
+        ("quadratic_per_coordinate", QuadraticModel(blocks=((3, [0.1, 1.0, 5.0], 0.5),), seed=2), None),
         ("mlp", MLPModel(dims=(2, 16, 2), seed=3), two_moons_batches(1, 16, seed=5)[0]),
         ("attention_lm", lm,
          Batch(rng.integers(0, 20, (4, 8)), rng.integers(0, 20, (4, 8)))),

@@ -104,7 +104,7 @@ def strip_wall(path):
 # a value each key accepts: one of its names for the enumerated string keys,
 # otherwise any finite value its type tag accepts
 _CHOICES = {
-    "kind": ("mlp", "attention_lm", "quadratic", "rosenbrock"),
+    "kind": ("mlp", "attention_lm", "quadratic"),
     "dataset": ("two_moons", "char_corpus", "analytic"),
     "algorithm": ALGORITHMS,
 }
@@ -475,6 +475,7 @@ class TestCli:
         ("lm", "model", "depth", "-1"),
         ("mlp", "optimizer", "max_steps", "-3"),
         ("quadratic", "model", "blocks", "-3:1.0:0.0"),
+        ("quadratic", "model", "kind", "rosenbrock"),
     ])
     def test_bad_value_at_the_boundary_is_config_error(self, tmp_path, capsys, base, section, key, value):
         corpus = tmp_path / "corpus.txt"

@@ -1,9 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from hizfo import theory
 from hizfo.datasets import ByteVocab, CharCorpus, two_moons, two_moons_batches
 from hizfo.tensors import ConfigurationError
-from hizfo.verify import suite_restore_exactness, verify_all
+from hizfo.verify import suite_rate_band, suite_restore_exactness, verify_all
 
 
 class TestTwoMoons:
@@ -83,3 +86,11 @@ class TestVerifySuites:
     def test_corrupted_restore_is_caught(self):
         r = suite_restore_exactness(fast=True, corrupt_restore=True)
         assert not r.passed
+
+    def test_stalled_zo_update_is_caught(self, monkeypatch):
+        # the rate band runs the shipped step: freezing its ZO update
+        # leaves 16 of 20 coordinates at their start, and the band must fail
+        real = theory.hizfo_step
+        monkeypatch.setattr(theory, "hizfo_step", lambda model, batch, cfg, step:
+                            real(model, batch, dataclasses.replace(cfg, eta_zo=1e-300), step))
+        assert not suite_rate_band(fast=True).passed

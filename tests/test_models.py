@@ -10,7 +10,6 @@ from hizfo.datasets import two_moons_batches
 from hizfo.models import (
     MLPModel,
     QuadraticModel,
-    RosenbrockModel,
     TinyAttentionLM,
     backward_truncated,
     flops_profile,
@@ -40,10 +39,6 @@ class TestForwardExamples:
         m = QuadraticModel(blocks=((2, 1.0, 0.0),), seed=0)
         m.tensors()[0].data[:] = [3.0, 4.0]
         assert m.forward(m.dummy_batch()) == 12.5
-
-    def test_rosenbrock_global_minimum(self):
-        m = RosenbrockModel(x0=1.0, y0=1.0)
-        assert m.forward(m.dummy_batch()) == 0.0
 
     def test_mlp_golden_loss(self):
         m = MLPModel(dims=(2, 16, 2), seed=42)
@@ -78,14 +73,14 @@ class TestGradients:
         "model,batch",
         [
             (QuadraticModel(blocks=((6, 2.0, 0.5), (4, 0.3, -1.0)), seed=1), None),
-            (RosenbrockModel(), None),
+            (QuadraticModel(blocks=((3, [0.1, 1.0, 5.0], 0.5),), seed=2), None),
             (MLPModel(dims=(2, 16, 2), seed=3), two_moons_batches(1, 16, seed=5)[0]),
             (
                 TinyAttentionLM(vocab_size=20, d_model=8, depth=2, context=8, seed=3),
                 lm_batch(),
             ),
         ],
-        ids=["quadratic", "rosenbrock", "mlp", "attention_lm"],
+        ids=["quadratic", "quadratic_per_coordinate", "mlp", "attention_lm"],
     )
     def test_full_backward_matches_central_differences(self, model, batch):
         if batch is None:

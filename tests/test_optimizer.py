@@ -8,7 +8,7 @@ import pytest
 
 from hizfo import optimizer
 from hizfo.datasets import two_moons_batches
-from hizfo.models import MLPModel, QuadraticModel, RosenbrockModel, TinyAttentionLM, backward_truncated
+from hizfo.models import MLPModel, QuadraticModel, TinyAttentionLM, backward_truncated
 from hizfo.cli import STEP_CSV_COLUMNS, _step_row, _write_csv
 from hizfo.optimizer import (
     FoUpdater,
@@ -234,12 +234,6 @@ class TestBaselines:
         rec = baseline_step_full_fo(m, m.dummy_batch(), cfg)
         assert m.tensors()[0].data[0] == pytest.approx(0.9, abs=1e-15)
         assert rec.L_ZO == 0.0 and rec.zo_estimate_norm == 0.0
-
-    def test_full_fo_rosenbrock_fixed_point(self):
-        m = RosenbrockModel(x0=1.0, y0=1.0)
-        cfg = OptimizerConfig(eta_fo=1e-3, eta_zo=1e-6, epsilon=1e-3, master_seed=0)
-        baseline_step_full_fo(m, m.dummy_batch(), cfg)
-        assert m.tensors()[0].data[0] == 1.0 and m.tensors()[1].data[0] == 1.0
 
     def test_full_fo_mlp_single_step_descends(self):
         m = MLPModel(dims=(2, 16, 2), seed=4)
