@@ -49,7 +49,6 @@ from .theory import (
     QuarticObjective,
     RateResult,
     TheoryRunSpec,
-    descent_inequality_check,
     estimator_bias_sq,
     estimator_mean,
     estimator_second_moment,

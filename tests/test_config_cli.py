@@ -328,7 +328,7 @@ class TestCli:
     def test_verify_fast_passes(self, capsys):
         assert self.run_cli("verify", "--fast") == 0
         out = capsys.readouterr().out
-        assert out.count("[PASS]") == 6
+        assert out.count("[PASS]") == 5
 
     def test_quadratic_profile_is_single_row(self, tmp_path):
         text = (

@@ -3,10 +3,17 @@ import dataclasses
 import numpy as np
 import pytest
 
-from hizfo import theory
+from hizfo import theory, verify
 from hizfo.datasets import ByteVocab, CharCorpus, two_moons, two_moons_batches
 from hizfo.tensors import ConfigurationError
-from hizfo.verify import suite_rate_band, suite_restore_exactness, verify_all
+from hizfo.verify import (
+    suite_bias_scaling,
+    suite_estimator_unbiasedness,
+    suite_rate_band,
+    suite_restore_exactness,
+    suite_second_moment,
+    verify_all,
+)
 
 
 class TestTwoMoons:
@@ -79,13 +86,34 @@ class TestCharCorpus:
 class TestVerifySuites:
     def test_all_suites_pass_fast(self):
         results = verify_all(fast=True)
-        assert len(results) == 6
+        assert [r.name for r in results] == [
+            "estimator_unbiasedness", "bias_scaling", "second_moment_bound",
+            "rate_band", "restore_exactness",
+        ]
         for r in results:
             assert r.passed, f"{r.name}: {r.detail}"
 
-    def test_corrupted_restore_is_caught(self):
-        r = suite_restore_exactness(fast=True, corrupt_restore=True)
-        assert not r.passed
+    @pytest.mark.parametrize("scale, failing", [
+        (2.0, {"estimator_unbiasedness", "bias_scaling", "second_moment_bound"}),
+        (0.0, {"estimator_unbiasedness", "bias_scaling"}),
+    ])
+    def test_faulty_estimator_is_caught(self, monkeypatch, scale, failing):
+        # a wrongly scaled forward difference shifts the estimator's mean,
+        # and at scale 2 also its second moment
+        real = theory.forward_differences
+        monkeypatch.setattr(theory, "forward_differences", lambda obj, theta, mu, u:
+                            scale * real(obj, theta, mu, u))
+        suites = (suite_estimator_unbiasedness, suite_bias_scaling, suite_second_moment)
+        results = [suite(fast=True) for suite in suites]
+        assert {r.name for r in results if not r.passed} == failing
+
+    def test_corrupted_restore_is_caught(self, monkeypatch):
+        # the probe's restore adds the noise a second time; the shipped
+        # step keeps its own binding, so the trajectory is unchanged
+        real = verify.add_scaled_noise
+        monkeypatch.setattr(verify, "add_scaled_noise", lambda a, seed, scale:
+                            real(a, seed, abs(scale)))
+        assert not suite_restore_exactness(fast=True).passed
 
     def test_stalled_zo_update_is_caught(self, monkeypatch):
         # the rate band runs the shipped step: freezing its ZO update
