@@ -51,7 +51,7 @@ def estimate_importance(
         raise ConfigurationError("importance estimation needs at least one batch")
 
     tensors = model.tensors()
-    snapshot = [t.data.copy() for t in tensors]
+    saved = model.flat.copy()
     names = [t.name for t in tensors]
     try:
         stream = itertools.cycle(batches)
@@ -68,8 +68,7 @@ def estimate_importance(
         grads = full_gradient(model, batch)
         raw = {n: float(-(last_update[n] @ grads[n])) for n in names}
     finally:
-        for t, saved in zip(tensors, snapshot):
-            t.data[:] = saved
+        model.flat[:] = saved
 
     normalizer = max(abs(v) for v in raw.values())
     if normalizer == 0.0:

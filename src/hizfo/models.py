@@ -99,7 +99,9 @@ def _init_dense(rng, fan_in, fan_out):
 
 class LayeredModel:
     """Base class: ordered layers (output-nearest first) over ParamTensors,
-    each layer pricing its tensors with ``cost_entries(layer_index, B, T)``."""
+    each layer pricing its tensors with ``cost_entries(layer_index, B, T)``.
+    Every tensor's data is a slice of one float64 buffer, ``flat``, in tensor
+    order, so the tensors must be written in place, never rebound."""
 
     kind = "base"
     context = 1  # the sequence length plans are made at; models without one read T = 1
@@ -116,6 +118,20 @@ class LayeredModel:
                 t.layer_index = i
                 self._tensors.append(t)
         self._by_name = {t.name: t for t in self._tensors}
+        # one float64 buffer in tensor order; each tensor's data is a slice of it
+        self._starts = list(itertools.accumulate((t.size for t in self._tensors), initial=0))
+        self.flat = np.concatenate([t.data for t in self._tensors])
+        self._bind()
+
+    def _bind(self):
+        for t, start in zip(self._tensors, self._starts):
+            t.data = self.flat[start : start + t.size]
+
+    def __setstate__(self, state):
+        # deepcopy and pickle copy each tensor's data apart from the buffer,
+        # so point the copied tensors back into the copied buffer
+        self.__dict__.update(state)
+        self._bind()
 
     def tensors(self) -> list[ParamTensor]:
         return self._tensors
@@ -128,6 +144,21 @@ class LayeredModel:
 
     def tensors_with_role(self, role: Role) -> list[ParamTensor]:
         return [t for t in self._tensors if t.role == role]
+
+    def flat_runs(self, role: Role | None = None):
+        """The tensors with `role`, every tensor for None, as views of the
+        flat buffer, one per run of adjacent tensors, and the tensors' sizes
+        in model order. Roles are read at each call, so a role set after the
+        plan was applied counts."""
+        bounds, sizes = [], []
+        for t, start in zip(self._tensors, self._starts):
+            if role is None or t.role == role:
+                sizes.append(t.size)
+                if bounds and bounds[-1][1] == start:
+                    bounds[-1][1] += t.size
+                else:
+                    bounds.append([start, start + t.size])
+        return [self.flat[lo:hi] for lo, hi in bounds], sizes
 
     # subclasses implement:
     def _forward(self, batch):  # -> (loss, cache)

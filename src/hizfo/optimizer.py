@@ -103,7 +103,7 @@ def hizfo_step(
     t0 = time.perf_counter_ns()
     fo = model.tensors_with_role(Role.FO)
     fo_names = [t.name for t in fo]
-    zo_arrays = [t.data for t in model.tensors_with_role(Role.ZO)]
+    zo_runs, zo_sizes = model.flat_runs(Role.ZO)
     updater = fo_updater or FoUpdater(cfg)
     fwd_before, bwd_before = model.tally.forward, model.tally.backward
 
@@ -116,7 +116,7 @@ def hizfo_step(
 
     seed = step_seed(cfg.master_seed, step_index)
     eps = cfg.epsilon
-    add_scaled_noise(zo_arrays, seed, +eps)
+    add_scaled_noise(zo_runs, seed, +eps, sizes=zo_sizes)
     try:
         loss_pert, cache_pert = model.forward_with_cache(batch)
         if cfg.alpha != 0.0 and fo_names:
@@ -126,15 +126,15 @@ def hizfo_step(
     except NumericOverflowError:
         return _diverged(step_index, model, fwd_before, t0, loss_clean, float("nan"))
     finally:
-        add_scaled_noise(zo_arrays, seed, -eps)  # restore, also when the step aborts
+        add_scaled_noise(zo_runs, seed, -eps, sizes=zo_sizes)  # restore, also when the step aborts
     updater.apply(fo, grads)
 
     coef = (loss_pert - loss_clean) / eps
     # the squared coefficient may overflow to inf: the next forward pass
     # then reports the divergence
     with np.errstate(over="ignore"):
-        sq = add_scaled_noise(zo_arrays, seed, -cfg.eta_zo * coef)
-        est_norm = float(np.sqrt(np.float64(coef) ** 2 * sq)) if zo_arrays else 0.0
+        sq = add_scaled_noise(zo_runs, seed, -cfg.eta_zo * coef, sizes=zo_sizes)
+        est_norm = float(np.sqrt(np.float64(coef) ** 2 * sq)) if zo_runs else 0.0
     return _record(step_index, loss_clean, loss_pert, loss_clean + cfg.alpha * loss_pert,
                    _grad_norm(grads[name] for name in fo_names), est_norm, bwd,
                    model.tally.forward - fwd_before, t0)
@@ -180,23 +180,23 @@ def baseline_step_mezo(
     losses (no clean pass is run) and ``L_ZO`` stays zero.
     """
     t0 = time.perf_counter_ns()
-    arrays = [t.data for t in model.tensors()]
+    runs, sizes = model.flat_runs()
     seed = step_seed(cfg.master_seed, step_index)
     eps = cfg.epsilon
     fwd_before = model.tally.forward
-    add_scaled_noise(arrays, seed, +eps)
+    add_scaled_noise(runs, seed, +eps, sizes=sizes)
     shift = eps  # the noise multiple the parameters carry
     try:
         loss_plus = model.forward(batch)
-        add_scaled_noise(arrays, seed, -2 * eps)
+        add_scaled_noise(runs, seed, -2 * eps, sizes=sizes)
         shift = -eps
         loss_minus = model.forward(batch)
     except NumericOverflowError:
         return _diverged(step_index, model, fwd_before, t0)
     finally:
-        add_scaled_noise(arrays, seed, -shift)  # restore, also when the step aborts
+        add_scaled_noise(runs, seed, -shift, sizes=sizes)  # restore, also when the step aborts
     coef = (loss_plus - loss_minus) / (2 * eps)
-    sq = add_scaled_noise(arrays, seed, -cfg.eta_zo * coef)
+    sq = add_scaled_noise(runs, seed, -cfg.eta_zo * coef, sizes=sizes)
     mid = 0.5 * (loss_plus + loss_minus)
     return _record(step_index, mid, 0.0, mid, 0.0,
                    abs(coef) * float(np.sqrt(sq)), 0, model.tally.forward - fwd_before, t0)

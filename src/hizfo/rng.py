@@ -41,24 +41,34 @@ def noise_generator(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed & _MASK64))
 
 
-def add_scaled_noise(arrays, seed: int, scale: float) -> float:
-    """Add scale * u to each array in place, u ~ N(0, I) drawn from `seed`.
+def add_scaled_noise(arrays, seed: int, scale: float, sizes=None) -> float:
+    """Add scale * u to the arrays in place, u ~ N(0, I) drawn from `seed`.
 
-    The same seed always regenerates the same u, in array order, so the
-    caller can perturb (+eps), restore (-eps) and apply the estimator
-    update (-lr * coefficient) with three calls and zero stored noise.
+    u is one Philox draw laid over the arrays in order. It equals consecutive
+    per-tensor draws, so an array may span several adjacent tensors. The same
+    seed regenerates the same u, so the caller can perturb (+eps), restore
+    (-eps) and apply the estimator update (-lr * coefficient) with three
+    calls and zero stored noise.
 
-    Returns sum(u**2) over all elements, which callers use for noise and
-    estimate norms.
+    Returns sum(u**2), summed tensor by tensor in order, for noise and
+    estimate norms: `sizes` gives the tensors' sizes when an array spans
+    several, and by default each array is one tensor.
     """
-    gen = noise_generator(seed)
-    sq = 0.0
+    u = noise_generator(seed).standard_normal(sum(a.size for a in arrays))
+    sq, k = 0.0, 0
     with np.errstate(over="ignore", invalid="ignore"):
+        for s in [a.size for a in arrays] if sizes is None else sizes:
+            ut = u[k : k + s]
+            sq += ut.dot(ut)
+            k += s
+        if k != u.size:
+            raise ValueError(f"sizes sum to {k}, the arrays hold {u.size} elements")
+        u *= scale
+        k = 0
         for a in arrays:
-            u = gen.standard_normal(a.size)
-            a += (scale * u).reshape(a.shape)
-            sq += float(u @ u)
-    return sq
+            a += u[k : k + a.size].reshape(a.shape)
+            k += a.size
+    return float(sq)
 
 
 def regenerate_noise(shapes, seed: int) -> list[np.ndarray]:

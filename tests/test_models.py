@@ -1,10 +1,14 @@
+import copy
 import csv
 import math
+import pickle
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hizfo.datasets import two_moons_batches
 from hizfo.models import (
@@ -15,6 +19,8 @@ from hizfo.models import (
     flops_profile,
     full_gradient,
 )
+from hizfo.optimizer import OptimizerConfig, hizfo_step
+from hizfo.rng import add_scaled_noise, regenerate_noise
 from hizfo.tensors import Batch, ConfigurationError, NumericOverflowError, Role
 
 GOLDEN_CSV = Path(__file__).parent / "data" / "golden_losses.csv"
@@ -338,3 +344,73 @@ class TestDeterminismAndErrors:
             TinyAttentionLM(vocab_size=65)
         with pytest.raises(ConfigurationError):
             TinyAttentionLM(depth=5)
+
+
+_SMALL = {
+    "quadratic": lambda k: QuadraticModel(blocks=[(1 + (k + i) % 4, 1.0, 0.0) for i in range(1 + k % 4)], seed=k),
+    "mlp": lambda k: MLPModel(dims=(2, 1 + k % 4, 3, 2)[: 3 + k % 2], seed=k),
+    "lm": lambda k: TinyAttentionLM(vocab_size=8, d_model=2 + k % 3, depth=1 + k % 2, context=4, seed=k),
+}
+_CLONES = {"deepcopy": copy.deepcopy, "pickle": lambda m: pickle.loads(pickle.dumps(m))}
+
+
+class TestFlatBuffer:
+    """Every tensor's data is a slice of the model's one buffer, and a noise
+    pass over the buffer's runs equals the per-tensor draws bit for bit."""
+
+    @settings(derandomize=True, database=None, max_examples=100, deadline=None)
+    @given(st.sampled_from(sorted(_SMALL)), st.integers(0, 11), st.sampled_from(["fo", "zo", "mixed"]),
+           st.integers(0, 2**64 - 1), st.integers(0, 2**64 - 1), st.floats(1e-8, 10.0))
+    @example("lm", 1, "zo", 0, 3, 1e-3)
+    @example("lm", 1, "fo", 0, 3, 1e-3)
+    def test_runs_equal_per_tensor_noise(self, kind, k, mode, bits, seed, scale):
+        m = _SMALL[kind](k)
+        mask = [mode == "zo" or (mode == "mixed" and bool(bits >> i & 1)) for i in range(len(m.tensors()))]
+        for t, zo in zip(m.tensors(), mask):
+            t.role = Role.ZO if zo else Role.FO
+        before = [t.data.copy() for t in m.tensors()]
+        zo = m.tensors_with_role(Role.ZO)
+        runs, sizes = m.flat_runs(Role.ZO)
+        # one run per maximal stretch of adjacent ZO tensors
+        assert len(runs) == sum(z and (i == 0 or not mask[i - 1]) for i, z in enumerate(mask))
+        sq = add_scaled_noise(runs, seed, scale, sizes=sizes)
+        us = iter(regenerate_noise([t.shape for t in zo], seed))
+        expected_sq = 0.0
+        for t, b, z in zip(m.tensors(), before, mask):
+            if z:
+                u = next(us).reshape(-1)
+                expected_sq += float(u @ u)
+                assert np.array_equal(t.data, b + scale * u), t.name
+            else:
+                assert np.array_equal(t.data, b), t.name
+        assert sq == expected_sq
+
+    def test_sizes_must_cover_the_draw(self):
+        m = MLPModel(dims=(2, 3, 2), seed=0)
+        runs, sizes = m.flat_runs()
+        with pytest.raises(ValueError):
+            add_scaled_noise(runs, 0, 1.0, sizes=sizes[:-1])
+
+    @pytest.mark.parametrize("clone", sorted(_CLONES))
+    @pytest.mark.parametrize("kind", ["mlp", "lm"])
+    def test_copy_keeps_its_own_buffer(self, kind, clone):
+        m = {"mlp": lambda: MLPModel(dims=(2, 8, 2), seed=3),
+             "lm": lambda: TinyAttentionLM(vocab_size=10, d_model=4, depth=2, context=8, seed=3)}[kind]()
+        batch = two_moons_batches(1, 16, seed=0)[0] if kind == "mlp" else lm_batch(vocab=10)
+        for i, t in enumerate(m.tensors()):
+            t.role = Role.FO if i % 3 == 0 else Role.ZO
+        c = _CLONES[clone](m)
+        for t in c.tensors():
+            assert np.shares_memory(t.data, c.flat) and not np.shares_memory(t.data, m.flat), t.name
+        original = m.flat.copy()
+        runs, sizes = c.flat_runs()
+        add_scaled_noise(runs, 11, 1e-2, sizes=sizes)
+        assert np.array_equal(m.flat, original)
+        for t, o, u in zip(c.tensors(), m.tensors(), regenerate_noise([t.shape for t in m.tensors()], 11)):
+            assert np.array_equal(t.view(), o.view() + 1e-2 * u), t.name
+        # a fresh copy trains like the original, step records and weights alike
+        c = _CLONES[clone](m)
+        cfg = OptimizerConfig(eta_fo=0.05, eta_zo=0.005, epsilon=1e-3, alpha=0.1, master_seed=2)
+        for step in range(3):
+            assert hizfo_step(m, batch, cfg, step).L_ZO == hizfo_step(c, batch, cfg, step).L_ZO
+        assert np.array_equal(m.flat, c.flat) and not np.array_equal(m.flat, original)

@@ -48,7 +48,7 @@ def force_noise(monkeypatch):
     each call adds scale * u and returns size * u**2, like the seeded one."""
 
     def force(u):
-        def fake(arrays, seed, scale):
+        def fake(arrays, seed, scale, sizes=None):
             with np.errstate(over="ignore", invalid="ignore"):
                 for a in arrays:
                     a += scale * u

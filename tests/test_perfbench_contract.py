@@ -8,7 +8,12 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from hizfo.models import TinyAttentionLM
+from hizfo.optimizer import OptimizerConfig, baseline_step_mezo, hizfo_step
+from hizfo.tensors import Batch, Role
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -75,3 +80,25 @@ def test_harness_steps_every_algorithm(tmp_path):
     for a in trainer.algs:
         trainer.step(a)
     assert checks.attempted > 0 and checks.failed == 0, checks.notes
+
+
+def test_noise_spans_count_the_elements_drawn():
+    # the traced run counts rng.noise_elems from the first argument of each
+    # rng.add_scaled_noise call and matches the hybrid step's phases by call
+    # order: three calls per hybrid step over the ZO set, four per MeZO step
+    # over the whole model
+    m = TinyAttentionLM(vocab_size=10, d_model=4, depth=3, context=8, seed=0)
+    for t in m.tensors():
+        t.role = Role.FO if t.name in ("head.weight", "block2.b1", "block1.wq", "embed.position") else Role.ZO
+    zo_elems = sum(t.size for t in m.tensors_with_role(Role.ZO))
+    rng = np.random.default_rng(0)
+    batch = Batch(rng.integers(0, 10, size=(2, 8)), rng.integers(0, 10, size=(2, 8)))
+    cfg = OptimizerConfig(eta_fo=0.05, eta_zo=0.005, epsilon=1e-3, alpha=0.1, master_seed=1)
+    for step, expected in ((hizfo_step, [zo_elems] * 3), (baseline_step_mezo, [m.flat.size] * 4)):
+        tracer = tracing.Tracer()
+        tracer.install()
+        try:
+            step(m, batch, cfg, 0)
+        finally:
+            tracer.uninstall()
+        assert [s[4] for s in tracer.spans if s[0] == "rng.add_scaled_noise"] == expected, step.__name__
