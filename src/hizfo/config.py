@@ -13,18 +13,17 @@ import math
 from dataclasses import dataclass, field
 
 from .datasets import CharCorpus, two_moons_batches
-from .models import LayeredModel, MLPModel, QuadraticModel, TinyAttentionLM
+from .models import LayeredModel, MLPModel, TinyAttentionLM
 from .optimizer import ALGORITHMS, OptimizerConfig
 from .tensors import ConfigurationError
 
 # section -> key -> (type tag, default)   type tags: s str, i int, n int >= 0,
-# p int >= 1, f float, nf finite float >= 0, of optional float, os optional str
+# p int >= 1, f float, nf finite float >= 0, os optional str
 _SCHEMA = {
     "model": {
         "kind": ("s", "mlp"),
         "seed": ("n", 0),
         "hidden_dims": ("s", "16"),
-        "blocks": ("s", "10:1.0:0.0"),
         "d_model": ("p", 16),
         "depth": ("n", 2),
         "context": ("p", 16),
@@ -51,7 +50,7 @@ _SCHEMA = {
         "rho": ("f", 0.6),
         "buckets": ("i", 10_000),
         "warmup_steps": ("i", 5),
-        "warmup_lr": ("of", None),
+        "warmup_lr": ("f", 1e-3),
     },
     "run": {
         "master_seed": ("n", 0),
@@ -98,10 +97,7 @@ class ExperimentConfig:
         return self.get("run", "out_dir")
 
     def warmup(self) -> tuple[int, float]:
-        lr = self.get("partition", "warmup_lr")
-        if lr is None:
-            lr = 1e-2 if self.get("model", "kind") == "quadratic" else 1e-3
-        return self.get("partition", "warmup_steps"), lr
+        return self.get("partition", "warmup_steps"), self.get("partition", "warmup_lr")
 
 
 def default_config() -> ExperimentConfig:
@@ -112,12 +108,12 @@ def default_config() -> ExperimentConfig:
 
 def _convert(tag: str, raw: str, where: str):
     raw = raw.strip()
-    if tag in ("of", "os") and raw == "":
+    if tag == "os" and raw == "":
         return None
     try:
         if tag in ("i", "n", "p"):
             return int(raw)
-        if tag in ("f", "nf", "of"):
+        if tag in ("f", "nf"):
             return float(raw)
         return raw
     except ValueError as e:
@@ -167,13 +163,9 @@ def serialize_config(cfg: ExperimentConfig) -> str:
 def build_model(cfg: ExperimentConfig) -> LayeredModel:
     kind = cfg.get("model", "kind")
     seed = cfg.get("model", "seed")
-    if kind == "quadratic":
-        blocks = _model_list(cfg, "blocks", _block, skip_empty=False)
-        return QuadraticModel(blocks=tuple(blocks), seed=seed)
     if kind == "mlp":
-        hidden = _model_list(cfg, "hidden_dims", _dim, skip_empty=True)
         # the mlp trains on two-moons: 2 features in, a logit for each of 2 classes out
-        return MLPModel(dims=(2, *hidden, 2), seed=seed)
+        return MLPModel(dims=(2, *_hidden_dims(cfg), 2), seed=seed)
     if kind == "attention_lm":
         return TinyAttentionLM(
             vocab_size=_corpus(cfg).vocab.size,
@@ -185,27 +177,16 @@ def build_model(cfg: ExperimentConfig) -> LayeredModel:
     raise ConfigurationError(f"unknown model kind {kind!r}")
 
 
-def _block(part: str) -> tuple[int, float, float]:
-    dim, curv, target = part.split(":")
-    curv, target = float(curv), float(target)
-    if not (math.isfinite(curv) and math.isfinite(target)):
-        raise ValueError("curvature and target must be finite")
-    return _dim(dim), curv, target
-
-
-def _dim(part: str) -> int:
-    if int(part) < 1:
-        raise ValueError(f"dimension {part} < 1")
-    return int(part)
-
-
-def _model_list(cfg: ExperimentConfig, key: str, convert, skip_empty: bool) -> list:
-    """The comma-separated [model] ``key``, each part converted."""
-    raw = cfg.get("model", key)
+def _hidden_dims(cfg: ExperimentConfig) -> list[int]:
+    """The comma-separated [model] hidden_dims; empty parts are skipped."""
+    raw = cfg.get("model", "hidden_dims")
     try:
-        return [convert(p.strip()) for p in raw.split(",") if p.strip() or not skip_empty]
+        dims = [int(p) for p in raw.split(",") if p.strip()]
+        if min(dims, default=1) < 1:
+            raise ValueError(f"dimension {min(dims)} < 1")
     except ValueError as e:
-        raise ConfigurationError(f"bad value for [model] {key}: {raw!r} ({e})") from e
+        raise ConfigurationError(f"bad value for [model] hidden_dims: {raw!r} ({e})") from e
+    return dims
 
 
 def _corpus(cfg: ExperimentConfig) -> CharCorpus:
@@ -216,7 +197,7 @@ def _corpus(cfg: ExperimentConfig) -> CharCorpus:
         return CharCorpus(f.read(), cfg.get("model", "context"))
 
 
-# the dataset each model kind trains on; the quadratic model ignores the batch
+# the dataset each model kind trains on
 _DATASET_OF = {"mlp": "two_moons", "attention_lm": "char_corpus"}
 
 
@@ -224,28 +205,23 @@ def build_data(cfg: ExperimentConfig, model: LayeredModel):
     """(train_batches, eval_batches) for the configured task, checked once
     against the model."""
     dataset = cfg.get("task", "dataset")
-    need = _DATASET_OF.get(model.kind, dataset)
+    need = _DATASET_OF[model.kind]
     if dataset != need:
         raise ConfigurationError(f"[task] dataset {dataset!r} does not fit [model] kind {model.kind!r}: use {need!r}")
     bs = cfg.get("task", "batch_size")
     n_train = cfg.get("task", "train_batches")
     n_eval = cfg.get("task", "eval_batches")
     seed = cfg.get("task", "data_seed")
-    if dataset == "analytic":
-        dummy = model.dummy_batch()
-        return [dummy] * n_train, [dummy] * n_eval
     if dataset == "two_moons":
         noise = cfg.get("task", "noise")
         train = two_moons_batches(n_train, bs, noise=noise, seed=seed)
         evalb = two_moons_batches(n_eval, bs, noise=noise, seed=seed + 10_000)
         return train, evalb
-    if dataset == "char_corpus":
-        corpus = _corpus(cfg)
-        return (
-            corpus.batches(n_train, bs, seed=seed),
-            corpus.batches(n_eval, bs, seed=seed + 10_000),
-        )
-    raise ConfigurationError(f"unknown dataset {dataset!r}")
+    corpus = _corpus(cfg)
+    return (
+        corpus.batches(n_train, bs, seed=seed),
+        corpus.batches(n_eval, bs, seed=seed + 10_000),
+    )
 
 
 def build_optimizer_config(cfg: ExperimentConfig) -> OptimizerConfig:

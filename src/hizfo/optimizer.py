@@ -116,7 +116,7 @@ def hizfo_step(
 
     seed = step_seed(cfg.master_seed, step_index)
     eps = cfg.epsilon
-    add_scaled_noise(zo_runs, seed, +eps, sizes=zo_sizes)
+    add_scaled_noise(zo_runs, seed, +eps)
     try:
         loss_pert, cache_pert = model.forward_with_cache(batch)
         if cfg.alpha != 0.0 and fo_names:
@@ -126,7 +126,7 @@ def hizfo_step(
     except NumericOverflowError:
         return _diverged(step_index, model, fwd_before, t0, loss_clean, float("nan"))
     finally:
-        add_scaled_noise(zo_runs, seed, -eps, sizes=zo_sizes)  # restore, also when the step aborts
+        add_scaled_noise(zo_runs, seed, -eps)  # restore, also when the step aborts
     updater.apply(fo, grads)
 
     coef = (loss_pert - loss_clean) / eps
@@ -184,17 +184,17 @@ def baseline_step_mezo(
     seed = step_seed(cfg.master_seed, step_index)
     eps = cfg.epsilon
     fwd_before = model.tally.forward
-    add_scaled_noise(runs, seed, +eps, sizes=sizes)
+    add_scaled_noise(runs, seed, +eps)
     shift = eps  # the noise multiple the parameters carry
     try:
         loss_plus = model.forward(batch)
-        add_scaled_noise(runs, seed, -2 * eps, sizes=sizes)
+        add_scaled_noise(runs, seed, -2 * eps)
         shift = -eps
         loss_minus = model.forward(batch)
     except NumericOverflowError:
         return _diverged(step_index, model, fwd_before, t0)
     finally:
-        add_scaled_noise(runs, seed, -shift, sizes=sizes)  # restore, also when the step aborts
+        add_scaled_noise(runs, seed, -shift)  # restore, also when the step aborts
     coef = (loss_plus - loss_minus) / (2 * eps)
     sq = add_scaled_noise(runs, seed, -cfg.eta_zo * coef, sizes=sizes)
     mid = 0.5 * (loss_plus + loss_minus)

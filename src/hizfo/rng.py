@@ -50,9 +50,9 @@ def add_scaled_noise(arrays, seed: int, scale: float, sizes=None) -> float:
     (-eps) and apply the estimator update (-lr * coefficient) with three
     calls and zero stored noise.
 
-    Returns sum(u**2), summed tensor by tensor in order, for noise and
-    estimate norms: `sizes` gives the tensors' sizes when an array spans
-    several, and by default each array is one tensor.
+    Returns sum(u**2), summed array by array in order, for noise and
+    estimate norms. `sizes`, the sizes of the tensors the arrays span, only
+    fixes the rounding of that sum: it is then summed tensor by tensor.
     """
     u = noise_generator(seed).standard_normal(sum(a.size for a in arrays))
     sq, k = 0.0, 0

@@ -139,8 +139,8 @@ def hybrid_run_min_grad_sq(spec: TheoryRunSpec, T: int) -> tuple[float, bool]:
     f0 = QuadraticObjective(c).value(theta)
     if f0 > 0:
         theta *= np.sqrt(spec.gap0 / f0)
-    for t, (lo, hi, role) in zip(model.tensors(), parts):
-        t.data[:] = theta[lo:hi]
+    model.flat[:] = theta  # the tensors lie in part order
+    for t, (_, _, role) in zip(model.tensors(), parts):
         t.role = role
     eta = 1.0 / np.sqrt(T)
     cfg = OptimizerConfig(eta_fo=eta, eta_zo=eta, epsilon=1.0 / np.sqrt(max(spec.d_zo, 1) * T),
@@ -148,7 +148,7 @@ def hybrid_run_min_grad_sq(spec: TheoryRunSpec, T: int) -> tuple[float, bool]:
     batch = model.dummy_batch()
     best = np.inf
     for step in range(T):
-        g = c * np.concatenate([t.data for t in model.tensors()])
+        g = c * model.flat
         best = min(best, float(g @ g))
         if not np.isfinite(best):
             return float("inf"), True

@@ -74,18 +74,6 @@ out_dir = {out}
 """
 
 
-QUADRATIC_CFG = """
-[model]
-kind = quadratic
-
-[task]
-dataset = analytic
-
-[run]
-out_dir = {out}
-"""
-
-
 def with_value(text, section, key, value):
     """`text` with [section] `key` set to `value` and no other line for it."""
     lines = [line for line in text.splitlines() if not line.startswith(f"{key} =")]
@@ -104,8 +92,8 @@ def strip_wall(path):
 # a value each key accepts: one of its names for the enumerated string keys,
 # otherwise any finite value its type tag accepts
 _CHOICES = {
-    "kind": ("mlp", "attention_lm", "quadratic"),
-    "dataset": ("two_moons", "char_corpus", "analytic"),
+    "kind": ("mlp", "attention_lm"),
+    "dataset": ("two_moons", "char_corpus"),
     "algorithm": ALGORITHMS,
 }
 _TEXT = st.text("abcdefghijklmnopqrstuvwxyz0123456789:,._/-", max_size=12)
@@ -118,7 +106,6 @@ _BY_TAG = {
     "p": st.integers(1, 2**64),
     "f": _FLOAT,
     "nf": st.floats(min_value=0.0, allow_infinity=False),
-    "of": st.none() | _FLOAT,
 }
 
 
@@ -182,12 +169,10 @@ class TestConfig:
         assert (opt.epsilon, opt.alpha) == (1e-3, 0.1)
         assert (opt.eta_fo, opt.eta_zo) == (2e-5, 2e-6)
 
-    def test_warmup_lr_defaults_per_model_kind(self):
-        cfg = default_config()
-        cfg.set("model", "kind", "quadratic")
-        assert cfg.warmup()[1] == 1e-2
-        cfg.set("model", "kind", "mlp")
-        assert cfg.warmup()[1] == 1e-3
+    def test_warmup_lr_defaults_to_1e_3(self):
+        assert default_config().warmup() == (5, 1e-3)
+        with pytest.raises(ConfigurationError, match=r"^bad value for \[partition\] warmup_lr: ''$"):
+            parse_config("[partition]\nwarmup_lr =\n")
 
     def test_builders(self):
         cfg = parse_config(MLP_CFG.format(out="runs/x"))
@@ -252,23 +237,13 @@ class TestCli:
         assert self.run_cli("train", "--config", str(tmp_path / "none.cfg")) == 1
 
     def test_diverged_exit_code(self, tmp_path):
-        text = (
-            "[model]\nkind = quadratic\nblocks = 4:1.0:0.5,4:1.0:0.5\n"
-            "[task]\ndataset = analytic\n"
-            "[optimizer]\nalgorithm = hizfo\neta_fo = 1e18\neta_zo = 1e17\nmax_steps = 200\n"
-            f"[run]\nout_dir = {tmp_path / 'out'}\n"
-        )
+        text = with_value(MLP_CFG.format(out=tmp_path / "out"), "optimizer", "eta_fo", "1e308")
         cfg = self.write_cfg(tmp_path, text)
         assert self.run_cli("train", "--config", str(cfg)) == 2
 
     def test_diverged_report_is_strict_json(self, tmp_path, capsys):
-        text = (
-            "[model]\nkind = quadratic\n"
-            "[task]\ndataset = analytic\n"
-            "[optimizer]\nalgorithm = full_fo\neta_fo = 1000\n"
-            f"[run]\nout_dir = {tmp_path / 'out'}\n"
-        )
-        cfg = self.write_cfg(tmp_path, text)
+        text = with_value(MLP_CFG.format(out=tmp_path / "out"), "optimizer", "eta_fo", "1e308")
+        cfg = self.write_cfg(tmp_path, with_value(text, "optimizer", "algorithm", "full_fo"))
         assert self.run_cli("train", "--config", str(cfg)) == 2
 
         def reject(token):
@@ -330,18 +305,6 @@ class TestCli:
         out = capsys.readouterr().out
         assert out.count("[PASS]") == 5
 
-    def test_quadratic_profile_is_single_row(self, tmp_path):
-        text = (
-            "[model]\nkind = quadratic\nblocks = 10:1.0:0.0\n"
-            "[task]\ndataset = analytic\n"
-            f"[run]\nout_dir = {tmp_path / 'out'}\n"
-        )
-        cfg = self.write_cfg(tmp_path, text)
-        assert self.run_cli("profile", "--config", str(cfg), "--out", str(tmp_path / "p")) == 0
-        with open(tmp_path / "p" / "importance.csv") as f:
-            rows = list(csv.DictReader(f))
-        assert len(rows) == 1 and rows[0]["tensor"] == "block0"
-
     def test_bad_hidden_dims_is_config_error(self, tmp_path, capsys):
         text = MLP_CFG.format(out=tmp_path / "out").replace("hidden_dims = 16", "hidden_dims = 16,x")
         cfg = self.write_cfg(tmp_path, text)
@@ -350,6 +313,7 @@ class TestCli:
         assert err.startswith("config error:") and "hidden_dims" in err
 
     def test_bad_quadratic_blocks_is_config_error(self, tmp_path, capsys):
+        # a config written for the deleted quadratic kind fails on its blocks key
         text = (
             "[model]\nkind = quadratic\nblocks = 10:1.0\n"
             "[task]\ndataset = analytic\n"
@@ -366,19 +330,6 @@ class TestCli:
         assert self.run_cli("train", "--config", str(cfg)) == 2
         err = capsys.readouterr().err
         assert err.startswith("diverged:") and err.count("\n") == 1
-
-    def test_overflowing_zo_coefficient_exits_diverged(self, tmp_path, capsys):
-        # the finite-difference coefficient is about 1e157, so its square
-        # overflows; the run reports divergence instead of raising
-        text = (
-            "[model]\nkind = quadratic\nblocks = 1:1.0:0.0,4:1e157:0.0\n"
-            "[task]\ndataset = analytic\n"
-            "[partition]\nrho = 0.3\nwarmup_steps = 1\nwarmup_lr = 1e-170\n"
-            f"[run]\nout_dir = {tmp_path / 'out'}\n"
-        )
-        cfg = self.write_cfg(tmp_path, text)
-        assert self.run_cli("train", "--config", str(cfg)) == 2
-        assert "diverged=True" in capsys.readouterr().out
 
     @pytest.mark.parametrize("argv,threads,files", [
         (["sweep", "--config", "{cfg}", "--axis", "alpha", "--values", "0.1,x"], None, {}),
@@ -474,49 +425,36 @@ class TestCli:
         ("lm", "task", "corpus_path", "{tmp}"),
         ("lm", "model", "depth", "-1"),
         ("mlp", "optimizer", "max_steps", "-3"),
-        ("quadratic", "model", "blocks", "-3:1.0:0.0"),
-        ("quadratic", "model", "kind", "rosenbrock"),
+        ("mlp", "model", "blocks", "3:1.0:0.0"),
+        ("mlp", "model", "kind", "quadratic"),
+        ("mlp", "model", "kind", "rosenbrock"),
     ])
     def test_bad_value_at_the_boundary_is_config_error(self, tmp_path, capsys, base, section, key, value):
         corpus = tmp_path / "corpus.txt"
         corpus.write_text("the cat sat on the mat " * 20)
         out = tmp_path / "out"
-        text = {
-            "mlp": MLP_CFG.format(out=out),
-            "lm": LM_CFG.format(corpus=corpus, out=out),
-            "quadratic": f"[model]\nkind = quadratic\n[task]\ndataset = analytic\n[run]\nout_dir = {out}\n",
-        }[base]
+        text = MLP_CFG.format(out=out) if base == "mlp" else LM_CFG.format(corpus=corpus, out=out)
         cfg = self.write_cfg(tmp_path, with_value(text, section, key, value.format(tmp=tmp_path)))
         assert self.run_cli("train", "--config", str(cfg)) == 1
         err = capsys.readouterr().err
         assert err.startswith("config error:") and err.count("\n") == 1
         assert not out.exists()
 
-    @pytest.mark.parametrize("base,settings", [
-        ("mlp", {"eta_fo": "inf"}),
-        ("mlp", {"eta_zo": "inf"}),
-        ("mlp", {"epsilon": "inf"}),
-        ("mlp", {"alpha": "inf"}),
-        ("mlp", {"warmup_lr": "-1"}),
-        ("mlp", {"warmup_lr": "0"}),
-        ("mlp", {"warmup_lr": "nan"}),
-        ("mlp", {"warmup_lr": "inf"}),
-        ("quadratic", {"blocks": "3:nan:0.0"}),
-        ("quadratic", {"blocks": "3:1.0:nan"}),
-        ("quadratic", {"blocks": "3:inf:0.0"}),
+    @pytest.mark.parametrize("key,value", [
+        ("eta_fo", "inf"),
+        ("eta_zo", "inf"),
+        ("epsilon", "inf"),
+        ("alpha", "inf"),
+        ("warmup_lr", "-1"),
+        ("warmup_lr", "0"),
+        ("warmup_lr", "nan"),
+        ("warmup_lr", "inf"),
     ], ids=["inf_eta_fo", "inf_eta_zo", "inf_epsilon", "inf_alpha",
-            "negative_warmup_lr", "zero_warmup_lr", "nan_warmup_lr", "inf_warmup_lr",
-            "nan_curvature", "nan_target", "inf_curvature"])
-    def test_nonfinite_or_nonpositive_rate_is_config_error(self, tmp_path, capsys, base, settings):
+            "negative_warmup_lr", "zero_warmup_lr", "nan_warmup_lr", "inf_warmup_lr"])
+    def test_nonfinite_or_nonpositive_rate_is_config_error(self, tmp_path, capsys, key, value):
         out = tmp_path / "out"
-        text = {
-            "mlp": MLP_CFG.format(out=out),
-            "quadratic": f"[model]\nkind = quadratic\n[task]\ndataset = analytic\n[run]\nout_dir = {out}\n",
-        }[base]
-        section = {"warmup_lr": "partition", "blocks": "model"}
-        for key, value in settings.items():
-            text = with_value(text, section.get(key, "optimizer"), key, value)
-        cfg = self.write_cfg(tmp_path, text)
+        section = "partition" if key == "warmup_lr" else "optimizer"
+        cfg = self.write_cfg(tmp_path, with_value(MLP_CFG.format(out=out), section, key, value))
         assert self.run_cli("train", "--config", str(cfg)) == 1
         err = capsys.readouterr().err
         assert err.startswith("config error:") and err.count("\n") == 1
@@ -527,7 +465,7 @@ class TestCli:
     def test_fuzzed_config_never_gives_a_traceback(self, data):
         # one line on stderr at most: a warning printed next to the error
         # line would be a second, so warnings fail the property too
-        base = data.draw(st.sampled_from((MLP_CFG, LM_CFG, QUADRATIC_CFG)))
+        base = data.draw(st.sampled_from((MLP_CFG, LM_CFG)))
         keys = data.draw(st.lists(st.sampled_from(_FUZZ_KEYS), min_size=1, max_size=3, unique=True))
         with tempfile.TemporaryDirectory() as tmp:
             corpus = os.path.join(tmp, "corpus.txt")

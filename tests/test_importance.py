@@ -106,8 +106,8 @@ class TestProtocol:
     def test_csv_roundtrip(self, tmp_path):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text(
-            "[model]\nkind = quadratic\nblocks = 3:10.0:0.0,3:0.1:0.0\n"
-            "[task]\ndataset = analytic\n[partition]\nwarmup_steps = 3\nwarmup_lr = 1e-2\n"
+            "[model]\nkind = mlp\nhidden_dims = 4\n"
+            "[task]\nbatch_size = 8\ntrain_batches = 2\n[partition]\nwarmup_steps = 3\nwarmup_lr = 1e-2\n"
         )
         assert main(["profile", "--config", str(cfg), "--out", str(tmp_path)]) == 0
         prof = _profile(load_config(cfg))[3]

@@ -399,6 +399,18 @@ class TestTrain:
         assert report.diverged and report.steps_run < 200
         assert report.final_eval_loss == float("inf")
 
+    def test_overflowing_zo_coefficient_diverges(self):
+        # the finite-difference coefficient is about 1e157, so its square
+        # overflows: the step records an inf estimate norm instead of
+        # raising, and the next forward pass reports the divergence
+        m = QuadraticModel(blocks=((1, 1.0, 0.0), (4, 1e157, 0.0)), seed=0)
+        plan = PartitionPlan(["block0"], ["block1"], 0.3, 0.0, 0, 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = train(m, [m.dummy_batch()], OptimizerConfig(), plan, "hizfo")
+        assert report.records[0].zo_estimate_norm == float("inf") and not report.records[0].diverged
+        assert report.diverged and report.steps_run == 2 and report.records[1].diverged
+
     @pytest.mark.parametrize("eval_interval", [1, 0])
     def test_overflowing_eval_reports_divergence(self, eval_interval):
         # the training step is fine, but the eval forward overflows (the
