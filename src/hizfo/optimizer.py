@@ -6,10 +6,10 @@ gaussian noise vector ``u``, the single-probe estimator of MeZO.
 First-order tensors are updated with the gradient of
 ``L_clean + alpha * L_perturbed``, zeroth-order tensors with the scaled
 finite-difference direction ``(L_perturbed - L_clean) / eps * u``. The step
-perturbs, runs the perturbed forward and truncated backward, and only then
-restores, so the alpha term is the true gradient of the perturbed loss.
-The noise is never stored: perturbing, restoring, and updating all
-regenerate it from the per-step seed.
+perturbs, runs the perturbed forward, truncated backward and FO update, and
+only then restores, so the alpha term is the true gradient of the perturbed
+loss. The restore and the ZO update are one pass, an aborted step restores
+alone, and the noise is never stored: both passes regenerate it from the seed.
 
 ``backward_flops`` in a step record is what the model tally counts for the
 step's clean truncated backward over the FO set, the budget-comparable
@@ -18,6 +18,7 @@ cost; with ``alpha > 0`` the tally also counts the perturbed-pass backward.
 
 from __future__ import annotations
 
+import ctypes
 import time
 from dataclasses import dataclass, field, fields
 
@@ -29,6 +30,14 @@ from .rng import add_scaled_noise, step_seed
 from .tensors import Batch, ConfigurationError, NumericOverflowError, Role
 
 ALGORITHMS = ("hizfo", "full_fo", "frozen_subset", "mezo")
+
+# glibc returns freed heap memory above 128 KiB to the OS, so each step faults
+# its ~1 MB of temporaries in again: keep it, and take arrays up to 32 MiB from the heap.
+try:
+    ctypes.CDLL(None).mallopt(-1, 1 << 30)  # M_TRIM_THRESHOLD
+    ctypes.CDLL(None).mallopt(-3, 1 << 25)  # M_MMAP_THRESHOLD
+except (AttributeError, OSError, TypeError):  # not glibc: the defaults stay
+    pass
 
 
 @dataclass
@@ -123,17 +132,18 @@ def hizfo_step(
             # still perturbed: layers read their weights at backward time
             for name, g in model.backward_from_cache(batch, cache_pert, fo_names).items():
                 grads[name] = grads[name] + cfg.alpha * g
-    except NumericOverflowError:
+        updater.apply(fo, grads)
+    except BaseException as e:
+        add_scaled_noise(zo_runs, seed, -eps)  # an aborted step only restores
+        if not isinstance(e, NumericOverflowError):
+            raise
         return _diverged(step_index, model, fwd_before, t0, loss_clean, float("nan"))
-    finally:
-        add_scaled_noise(zo_runs, seed, -eps)  # restore, also when the step aborts
-    updater.apply(fo, grads)
 
     coef = (loss_pert - loss_clean) / eps
-    # the squared coefficient may overflow to inf: the next forward pass
-    # then reports the divergence
+    # one pass restores and updates the ZO set. The squared coefficient may
+    # overflow to inf: the next forward pass then reports the divergence
     with np.errstate(over="ignore"):
-        sq = add_scaled_noise(zo_runs, seed, -cfg.eta_zo * coef, sizes=zo_sizes)
+        sq = add_scaled_noise(zo_runs, seed, -eps - cfg.eta_zo * coef, sizes=zo_sizes)
         est_norm = float(np.sqrt(np.float64(coef) ** 2 * sq)) if zo_runs else 0.0
     return _record(step_index, loss_clean, loss_pert, loss_clean + cfg.alpha * loss_pert,
                    _grad_norm(grads[name] for name in fo_names), est_norm, bwd,

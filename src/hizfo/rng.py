@@ -41,20 +41,28 @@ def noise_generator(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed & _MASK64))
 
 
+# add_scaled_noise resets this generator to the seed's stream on every call,
+# as building a Philox first seeds it from OS entropy. Not thread-safe.
+_GEN = np.random.Generator(np.random.Philox(key=0))
+_START = _GEN.bit_generator.state  # counter 0 and an empty buffer; the reset sets the key
+
+
 def add_scaled_noise(arrays, seed: int, scale: float, sizes=None) -> float:
     """Add scale * u to the arrays in place, u ~ N(0, I) drawn from `seed`.
 
     u is one Philox draw laid over the arrays in order. It equals consecutive
     per-tensor draws, so an array may span several adjacent tensors. The same
-    seed regenerates the same u, so the caller can perturb (+eps), restore
-    (-eps) and apply the estimator update (-lr * coefficient) with three
-    calls and zero stored noise.
+    seed regenerates the same u, so the caller can perturb (+eps), then
+    restore and apply the estimator update in one call (-eps - lr *
+    coefficient), with zero stored noise.
 
     Returns sum(u**2), summed array by array in order, for noise and
     estimate norms. `sizes`, the sizes of the tensors the arrays span, only
     fixes the rounding of that sum: it is then summed tensor by tensor.
     """
-    u = noise_generator(seed).standard_normal(sum(a.size for a in arrays))
+    _START["state"]["key"][0] = seed & _MASK64
+    _GEN.bit_generator.state = _START  # the stream of noise_generator(seed)
+    u = _GEN.standard_normal(sum(a.size for a in arrays))
     sq, k = 0.0, 0
     with np.errstate(over="ignore", invalid="ignore"):
         for s in [a.size for a in arrays] if sizes is None else sizes:

@@ -85,8 +85,8 @@ def test_harness_steps_every_algorithm(tmp_path):
 def test_noise_spans_count_the_elements_drawn():
     # the traced run counts rng.noise_elems from the first argument of each
     # rng.add_scaled_noise call and matches the hybrid step's phases by call
-    # order: three calls per hybrid step over the ZO set, four per MeZO step
-    # over the whole model
+    # order: two calls per hybrid step over the ZO set (perturb, then restore
+    # and update in one), four per MeZO step over the whole model
     m = TinyAttentionLM(vocab_size=10, d_model=4, depth=3, context=8, seed=0)
     for t in m.tensors():
         t.role = Role.FO if t.name in ("head.weight", "block2.b1", "block1.wq", "embed.position") else Role.ZO
@@ -94,7 +94,7 @@ def test_noise_spans_count_the_elements_drawn():
     rng = np.random.default_rng(0)
     batch = Batch(rng.integers(0, 10, size=(2, 8)), rng.integers(0, 10, size=(2, 8)))
     cfg = OptimizerConfig(eta_fo=0.05, eta_zo=0.005, epsilon=1e-3, alpha=0.1, master_seed=1)
-    for step, expected in ((hizfo_step, [zo_elems] * 3), (baseline_step_mezo, [m.flat.size] * 4)):
+    for step, expected in ((hizfo_step, [zo_elems] * 2), (baseline_step_mezo, [m.flat.size] * 4)):
         tracer = tracing.Tracer()
         tracer.install()
         try:

@@ -67,6 +67,27 @@ class TestRng:
         for a, u in zip(arrays, us):
             assert np.allclose(a, 2.0 * u, rtol=0, atol=0)
 
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1, step_seed(5, 3)])
+    def test_noise_is_the_seed_stream_whatever_was_drawn_before(self, seed):
+        for n in (1, 7, 1001):
+            want = noise_generator(seed).standard_normal(n)
+            a = np.zeros(n)
+            add_scaled_noise([a], seed, 1.0)
+            assert np.array_equal(a, want)
+            add_scaled_noise([np.zeros(3)], seed + 1, 1.0)  # an odd draw of another stream
+            regenerate_noise([(5,)], seed ^ 1)
+            a[:] = 0.0
+            add_scaled_noise([a], seed, 1.0)
+            assert np.array_equal(a, want)
+
+    def test_live_generators_stay_independent(self):
+        want = noise_generator(8).standard_normal(10)
+        g, h = noise_generator(8), noise_generator(8)
+        head = g.standard_normal(5)
+        add_scaled_noise([np.zeros(4)], 8, 1.0)
+        assert np.array_equal(h.standard_normal(10), want)
+        assert np.array_equal(np.concatenate([head, g.standard_normal(5)]), want)
+
     def test_generator_streams_independent(self):
         x = noise_generator(1).standard_normal(8)
         y = noise_generator(2).standard_normal(8)
