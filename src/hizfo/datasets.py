@@ -64,10 +64,8 @@ class CharCorpus:
     def batches(self, n_batches: int, batch_size: int, seed: int = 0) -> list[Batch]:
         rng = np.random.default_rng(seed)
         hi = len(self.ids) - self.context - 1
-        out = []
-        for _ in range(n_batches):
-            starts = rng.integers(0, hi, size=batch_size)
-            x = np.stack([self.ids[s : s + self.context] for s in starts])
-            y = np.stack([self.ids[s + 1 : s + self.context + 1] for s in starts])
-            out.append(Batch(x, y))
-        return out
+        # one draw of every start gives the numbers of one draw per batch
+        starts = rng.integers(0, hi, size=(n_batches, batch_size))
+        w = np.lib.stride_tricks.sliding_window_view(self.ids, self.context + 1)[starts]
+        x, y = np.ascontiguousarray(w[..., :-1]), np.ascontiguousarray(w[..., 1:])
+        return [Batch(xb, yb) for xb, yb in zip(x, y)]

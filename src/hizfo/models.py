@@ -55,6 +55,7 @@ class CostModel:
         self.cumprop = list(itertools.accumulate(e.prop_flops for e in self.entries))
         self.total_backward_flops = int(sum(e.grad_flops + e.prop_flops for e in self.entries))
         self.total_forward_flops = int(sum(e.fwd_flops for e in self.entries))
+        self._last = (None, 0)  # the last subset priced and its cost: a step prices one subset
 
     def names(self) -> list[str]:
         return [e.name for e in self.entries]
@@ -67,6 +68,8 @@ class CostModel:
         including the deepest selected tensor's layer.
         """
         selected = set(selected)
+        if selected == self._last[0]:
+            return self._last[1]
         unknown = selected - self.index.keys()
         if unknown:
             raise ConfigurationError(f"unknown tensors in subset: {sorted(unknown)}")
@@ -74,7 +77,8 @@ class CostModel:
             return 0
         # a plain loop: a numpy gather costs more than the sum on these sizes
         pos = [self.index[n] for n in selected]
-        return int(self.cumprop[max(pos)] + sum(self.grad[k] for k in pos))
+        self._last = (selected, int(self.cumprop[max(pos)] + sum(self.grad[k] for k in pos)))
+        return self._last[1]
 
     def to_dict(self) -> dict:
         return {
@@ -90,6 +94,12 @@ class FlopsTally:
     def __init__(self):
         self.forward = 0
         self.backward = 0
+
+
+def _row_max(x):
+    """``x.max(axis=-1, keepdims=True)``, NaN and signed infinities alike:
+    numpy reduces short rows slowly but a transposed copy's columns fast."""
+    return np.maximum.reduce(x.reshape(-1, x.shape[-1]).T.copy()).reshape(x.shape[:-1] + (1,))
 
 
 def _init_dense(rng, fan_in, fan_out):
@@ -126,6 +136,10 @@ class LayeredModel:
     def _bind(self):
         for t, start in zip(self._tensors, self._starts):
             t.data = self.flat[start : start + t.size]
+        self._split = (None, None)  # role_split's views point into the old buffer
+
+    def __getstate__(self):  # role_split's views are rebuilt, not copied
+        return {k: v for k, v in self.__dict__.items() if k != "_split"}
 
     def __setstate__(self, state):
         # deepcopy and pickle copy each tensor's data apart from the buffer,
@@ -160,6 +174,16 @@ class LayeredModel:
                     bounds.append([start, start + t.size])
         return [self.flat[lo:hi] for lo, hi in bounds], sizes
 
+    def role_split(self):
+        """(FO tensors, FO names, ZO runs, ZO sizes) of the current roles,
+        built again only when a role changed since the last call; callers
+        share the lists and must not change them."""
+        roles = tuple(t.role for t in self._tensors)
+        if self._split[0] != roles:
+            fo = self.tensors_with_role(Role.FO)
+            self._split = (roles, (fo, [t.name for t in fo], *self.flat_runs(Role.ZO)))
+        return self._split[1]
+
     # subclasses implement:
     def _forward(self, batch):  # -> (loss, cache)
         raise NotImplementedError
@@ -188,7 +212,7 @@ class LayeredModel:
         return loss
 
     def forward_with_cache(self, batch: Batch):
-        # overflow surfaces as a NumericOverflowError from the finite checks,
+        # overflow surfaces as a NumericOverflowError from the finite check,
         # not as numpy runtime warnings
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             loss, cache = self._forward(batch)
@@ -268,28 +292,41 @@ class _SequentialModel(LayeredModel):
     """
 
     def _forward(self, batch):
+        """Loss and cache of one pass, with one finite check for the pass.
+
+        NaN and ±inf in any layer's output reach the loss, except a -inf
+        logit off the targets, which the logits' sum catches. Only when that
+        check fails are the outputs scanned in forward order; the first
+        non-finite one is raised as ``NumericOverflowError``.
+        """
         h = self._inputs(batch)
-        caches = []
+        caches, outs = [], []
         for li in range(len(self.layers) - 1, -1, -1):
             h, c = self.layers[li].forward(h)
-            if not np.all(np.isfinite(h)):
-                raise NumericOverflowError(f"non-finite activations at layer {li}", li)
             caches.append(c)
+            outs.append(h)
         loss, g_logits = self._loss(h, batch)
+        if not np.isfinite(loss + np.add.reduce(h, axis=None)):
+            for li, out in zip(range(len(self.layers) - 1, -1, -1), outs):
+                if not np.all(np.isfinite(out)):
+                    raise NumericOverflowError(f"non-finite activations at layer {li}", li)
         return loss, (caches, g_logits)
 
     def _loss(self, logits, batch):
-        """Mean cross-entropy over every position of ``logits`` (..., classes)."""
+        """Mean cross-entropy over every position of ``logits`` (..., classes)
+        and its gradient; the targets are class indices below ``classes``."""
         flat = logits.reshape(-1, logits.shape[-1])
-        y = np.asarray(batch.targets).reshape(-1).astype(int)
-        rows = np.arange(flat.shape[0])
-        shifted = flat - flat.max(axis=1, keepdims=True)
+        n, C = flat.shape
+        # the target entries of the row-major (n, C) arrays, as one flat index
+        at = np.arange(0, n * C, C) + np.asarray(batch.targets).reshape(-1).astype(int, copy=False)
+        shifted = flat - _row_max(flat)
         e = np.exp(shifted)
         z = e.sum(axis=1, keepdims=True)
-        nll = np.log(z[:, 0]) - shifted[rows, y]
-        g = e / z
-        g[rows, y] -= 1.0
-        return float(nll.mean()), (g / flat.shape[0]).reshape(logits.shape)
+        nll = np.log(z[:, 0]) - shifted.take(at)
+        e /= z
+        e.reshape(-1)[at] -= 1.0
+        e /= n
+        return float(nll.sum() / n), e.reshape(logits.shape)
 
     def _backward(self, batch, cache, active):
         caches, g = cache
@@ -443,7 +480,7 @@ class _AttentionBlock:
         s = q @ k.transpose(0, 2, 1)
         s /= np.sqrt(d)
         np.copyto(s, -1e30, where=_future_mask(T))
-        s -= s.max(axis=-1, keepdims=True)
+        s -= _row_max(s)
         a = np.exp(s, out=s)
         a /= a.sum(axis=-1, keepdims=True)
         z = a @ v

@@ -110,9 +110,7 @@ def hizfo_step(
 ) -> StepRecord:
     """One hybrid step over the model's current FO/ZO role assignment."""
     t0 = time.perf_counter_ns()
-    fo = model.tensors_with_role(Role.FO)
-    fo_names = [t.name for t in fo]
-    zo_runs, zo_sizes = model.flat_runs(Role.ZO)
+    fo, fo_names, zo_runs, zo_sizes = model.role_split()
     updater = fo_updater or FoUpdater(cfg)
     fwd_before, bwd_before = model.tally.forward, model.tally.backward
 
@@ -121,6 +119,7 @@ def hizfo_step(
     except NumericOverflowError:
         return _diverged(step_index, model, fwd_before, t0)
     grads = model.backward_from_cache(batch, cache_clean, fo_names)
+    del cache_clean  # the perturbed pass needs only its own activations
     bwd = model.tally.backward - bwd_before
 
     seed = step_seed(cfg.master_seed, step_index)

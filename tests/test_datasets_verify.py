@@ -78,6 +78,24 @@ class TestCharCorpus:
         assert batch.inputs.shape == (4, 8) and batch.targets.shape == (4, 8)
         assert np.array_equal(batch.inputs[0, 1:], batch.targets[0, :-1])
 
+    @pytest.mark.parametrize("seed", [0, 7, 2**40])
+    @pytest.mark.parametrize("context", [8, 16])
+    def test_batches_equal_one_draw_and_stack_per_batch(self, context, seed):
+        text = bytes(np.random.default_rng(3).integers(32, 120, 5000).astype(np.uint8))
+        corpus = CharCorpus(text, context=context)
+        for n, size in [(16, 16), (32, 16), (8, 8), (1, 1)]:
+            rng = np.random.default_rng(seed)
+            hi = len(corpus.ids) - context - 1
+            got = corpus.batches(n, size, seed=seed)
+            assert len(got) == n
+            for batch in got:
+                starts = rng.integers(0, hi, size=size)
+                x = np.stack([corpus.ids[s : s + context] for s in starts])
+                y = np.stack([corpus.ids[s + 1 : s + context + 1] for s in starts])
+                for have, want in ((batch.inputs, x), (batch.targets, y)):
+                    assert have.dtype == want.dtype and np.array_equal(have, want)
+                    assert have.flags.c_contiguous
+
     def test_too_short_corpus_rejected(self):
         with pytest.raises(ConfigurationError):
             CharCorpus(b"abc", context=8)

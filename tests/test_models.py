@@ -15,6 +15,7 @@ from hizfo.models import (
     MLPModel,
     QuadraticModel,
     TinyAttentionLM,
+    _row_max,
     backward_truncated,
     flops_profile,
     full_gradient,
@@ -414,3 +415,181 @@ class TestFlatBuffer:
         for step in range(3):
             assert hizfo_step(m, batch, cfg, step).L_ZO == hizfo_step(c, batch, cfg, step).L_ZO
         assert np.array_equal(m.flat, c.flat) and not np.array_equal(m.flat, original)
+
+
+def _seed_loss(logits, batch):
+    """The cross-entropy as two 2-D gathers, a copied gradient and np.mean:
+    the reference the one-pass ``_loss`` must match bit for bit."""
+    flat = logits.reshape(-1, logits.shape[-1])
+    y = np.asarray(batch.targets).reshape(-1).astype(int)
+    rows = np.arange(flat.shape[0])
+    shifted = flat - flat.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    z = e.sum(axis=1, keepdims=True)
+    nll = np.log(z[:, 0]) - shifted[rows, y]
+    g = e / z
+    g[rows, y] -= 1.0
+    return float(nll.mean()), (g / flat.shape[0]).reshape(logits.shape)
+
+
+def _eager_forward(m, batch):
+    """The oracle: a finite check after every layer, then one on the loss."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        h = m._inputs(batch)
+        caches = []
+        for li in range(len(m.layers) - 1, -1, -1):
+            h, c = m.layers[li].forward(h)
+            if not np.all(np.isfinite(h)):
+                raise NumericOverflowError(f"non-finite activations at layer {li}", li)
+            caches.append(c)
+        loss, g = _seed_loss(h, batch)
+    if not np.isfinite(loss):
+        raise NumericOverflowError("non-finite loss", 0)
+    return loss, (caches, g)
+
+
+def _outcome(forward, m, batch):
+    try:
+        return forward(m, batch)
+    except NumericOverflowError as e:
+        return type(e), str(e), e.layer_index
+
+
+def _same(a, b):
+    """Bit-identical nested tuples and lists of arrays, floats and None."""
+    if isinstance(a, (tuple, list)):
+        return type(a) is type(b) and len(a) == len(b) and all(_same(x, y) for x, y in zip(a, b))
+    if isinstance(a, np.ndarray):
+        return isinstance(b, np.ndarray) and a.dtype == b.dtype and np.array_equal(a, b, equal_nan=True)
+    return type(a) is type(b) and (a == b or (a != a and b != b))
+
+
+_POISONED = {
+    "mlp": (lambda: MLPModel(dims=(2, 6, 5, 2), seed=4), lambda: two_moons_batches(1, 16, seed=2)[0]),
+    "lm": (lambda: TinyAttentionLM(vocab_size=10, d_model=4, depth=2, context=8, seed=4),
+           lambda: lm_batch(vocab=10)),
+}
+
+
+class TestOneFiniteCheck:
+    """One finite check per forward pass raises what a check after every
+    layer raised, naming the same layer, and changes nothing else."""
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan, 1e200])
+    @pytest.mark.parametrize("fill", ["tensor", "element"])
+    @pytest.mark.parametrize("kind", sorted(_POISONED))
+    def test_poisoned_tensor_fails_like_the_eager_walk(self, kind, fill, value):
+        build, make_batch = _POISONED[kind]
+        batch = make_batch()
+        names = [t.name for t in build().tensors()]
+        raised = 0
+        for name in names:
+            m = build()
+            t = m.tensor(name)
+            if fill == "tensor":
+                t.data[:] = value
+            else:
+                t.data[t.size // 2] = value
+            want = _outcome(_eager_forward, m, batch)
+            got = _outcome(lambda m, b: m.forward_with_cache(b), m, batch)
+            assert _same(got, want), name
+            raised += isinstance(want[0], type)
+        # the oracle saw overflow, so the check was exercised; tanh squashes
+        # the MLP's 1e200 pre-activations and its logits stay finite
+        assert raised > 0 or (kind, value) == ("mlp", 1e200)
+
+    @pytest.mark.parametrize("kind", sorted(_POISONED))
+    def test_finite_forward_is_bit_identical(self, kind):
+        build, make_batch = _POISONED[kind]
+        m, batch = build(), make_batch()
+        assert _same(m.forward_with_cache(batch), _eager_forward(m, batch))
+
+    def test_minus_inf_logit_off_the_targets_is_caught(self):
+        # the loss stays finite when a -inf logit is never a target; the
+        # logits themselves are non-finite, so the pass must still fail
+        m = MLPModel(dims=(2, 2), seed=0)
+        m.tensor("layer0.bias").data[0] = -np.inf
+        batch = Batch(np.zeros((3, 2)), np.ones(3, dtype=int))
+        assert _outcome(_eager_forward, m, batch)[1:] == ("non-finite activations at layer 0", 0)
+        with pytest.raises(NumericOverflowError, match="at layer 0") as exc:
+            m.forward(batch)
+        assert exc.value.layer_index == 0
+
+
+class TestLossKernels:
+    @pytest.mark.parametrize("shape", [(64, 2), (256, 64), (12, 1), (3, 8, 5)])
+    @pytest.mark.parametrize("scale", [1.0, 30.0, 1e308])
+    def test_loss_matches_the_two_gather_formula(self, shape, scale):
+        rng = np.random.default_rng(shape[0] + shape[-1])
+        # every class is a target somewhere
+        y = np.arange(math.prod(shape[:-1])).reshape(shape[:-1]) % shape[-1]
+        for _ in range(8):
+            logits = scale * rng.uniform(-1.0, 1.0, size=shape)
+            batch = Batch(np.zeros(shape[:-1]), rng.permuted(y.reshape(-1)).reshape(y.shape))
+            with np.errstate(over="ignore", invalid="ignore"):
+                loss, g = MLPModel()._loss(logits, batch)
+                want_loss, want_g = _seed_loss(logits, batch)
+            assert type(loss) is float and _same(loss, want_loss)
+            assert g.shape == logits.shape and np.array_equal(g, want_g, equal_nan=True)
+
+    @pytest.mark.parametrize("shape", [(64, 2), (16, 16, 16), (5, 1), (3, 7), (2, 3, 40)])
+    def test_row_max_is_max_over_the_last_axis(self, shape):
+        x = np.random.default_rng(1).standard_normal(shape)
+        flat = x.reshape(-1, shape[-1])
+        specials = [np.nan, np.inf, -np.inf]
+        for r in range(min(len(flat), 9)):  # NaN, +inf and -inf alone and together in a row
+            for k, v in enumerate(specials):
+                if r >> k & 1 or r == 8:
+                    flat[r, (r + k) % shape[-1]] = v
+        flat[-1] = -np.inf
+        got = _row_max(x)
+        assert got.shape == shape[:-1] + (1,)
+        assert np.array_equal(got, x.max(axis=-1, keepdims=True), equal_nan=True)
+
+
+class TestRoleSplit:
+    def _model(self):
+        m = TinyAttentionLM(vocab_size=10, d_model=4, depth=2, context=8, seed=5)
+        for i, t in enumerate(m.tensors()):
+            t.role = Role.FO if i % 3 == 0 else Role.ZO
+        return m
+
+    def test_split_follows_the_roles(self):
+        m = self._model()
+        split = m.role_split()
+        assert m.role_split() is split  # kept while no role changes
+        m.tensors()[1].role = Role.FO
+        fo, names, runs, sizes = m.role_split()
+        assert fo == m.tensors_with_role(Role.FO) and names == [t.name for t in fo]
+        want_runs, want_sizes = m.flat_runs(Role.ZO)
+        assert sizes == want_sizes and len(runs) == len(want_runs)
+        for r, w in zip(runs, want_runs):
+            assert np.shares_memory(r, m.flat) and r.shape == w.shape and np.shares_memory(r, w)
+
+    @pytest.mark.parametrize("clone", sorted(_CLONES))
+    def test_copy_after_a_step_moves_only_its_own_zo_tensors(self, clone):
+        m = self._model()
+        batch = lm_batch(vocab=10)
+        cfg = OptimizerConfig(eta_fo=0.05, eta_zo=0.005, epsilon=1e-3, alpha=0.1, master_seed=2)
+        size = len(pickle.dumps(m))
+        hizfo_step(m, batch, cfg, 0)  # builds the original's split
+        c = _CLONES[clone](m)
+        assert len(pickle.dumps(m)) < size + m.flat.nbytes // 2  # the split's views are not copied
+        for r in c.role_split()[2]:
+            assert np.shares_memory(r, c.flat) and not np.shares_memory(r, m.flat)
+        original = m.flat.copy()
+        zo_before = [(t, t.data.copy()) for t in c.tensors_with_role(Role.ZO)]
+        hizfo_step(c, batch, cfg, 1)
+        assert np.array_equal(m.flat, original)
+        for t, before in zo_before:
+            assert not np.array_equal(t.data, before), t.name
+
+    def test_subset_cost_memo_rejects_unknown_names(self):
+        cost = MLPModel(dims=(2, 3, 2), seed=0).cost_model(4)
+        one, both = cost.subset_backward_flops(["layer0.weight"]), cost.subset_backward_flops(cost.names())
+        assert cost.subset_backward_flops({"layer0.weight"}) == one
+        assert cost.subset_backward_flops(cost.names()) == both
+        for _ in range(2):
+            with pytest.raises(ConfigurationError):
+                cost.subset_backward_flops(["layer0.weight", "nope"])
+        assert cost.subset_backward_flops(["layer0.weight"]) == one
