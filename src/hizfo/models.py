@@ -128,22 +128,22 @@ class LayeredModel:
                 t.layer_index = i
                 self._tensors.append(t)
         self._by_name = {t.name: t for t in self._tensors}
-        # one float64 buffer in tensor order; each tensor's data is a slice of it
         self._starts = list(itertools.accumulate((t.size for t in self._tensors), initial=0))
-        self.flat = np.concatenate([t.data for t in self._tensors])
         self._bind()
 
     def _bind(self):
+        """Gather the tensors' data into ``flat``, in tensor order, and point
+        each tensor at its slice of it. A copy carries each parameter once,
+        in its tensor, and binds again when it is restored."""
+        self.flat = np.concatenate([t.data for t in self._tensors])
         for t, start in zip(self._tensors, self._starts):
             t.data = self.flat[start : start + t.size]
         self._split = (None, None)  # role_split's views point into the old buffer
 
-    def __getstate__(self):  # role_split's views are rebuilt, not copied
-        return {k: v for k, v in self.__dict__.items() if k != "_split"}
+    def __getstate__(self):
+        return {k: v for k, v in self.__dict__.items() if k not in ("flat", "_split")}
 
     def __setstate__(self, state):
-        # deepcopy and pickle copy each tensor's data apart from the buffer,
-        # so point the copied tensors back into the copied buffer
         self.__dict__.update(state)
         self._bind()
 
@@ -159,29 +159,27 @@ class LayeredModel:
     def tensors_with_role(self, role: Role) -> list[ParamTensor]:
         return [t for t in self._tensors if t.role == role]
 
-    def flat_runs(self, role: Role | None = None):
-        """The tensors with `role`, every tensor for None, as views of the
-        flat buffer, one per run of adjacent tensors, and the tensors' sizes
-        in model order. Roles are read at each call, so a role set after the
-        plan was applied counts."""
-        bounds, sizes = [], []
+    def flat_runs(self, role: Role):
+        """The tensors with `role` as views of the flat buffer, one per run of
+        adjacent tensors. Roles are read at each call, so a role set after
+        the plan was applied counts."""
+        bounds = []
         for t, start in zip(self._tensors, self._starts):
-            if role is None or t.role == role:
-                sizes.append(t.size)
+            if t.role == role:
                 if bounds and bounds[-1][1] == start:
                     bounds[-1][1] += t.size
                 else:
                     bounds.append([start, start + t.size])
-        return [self.flat[lo:hi] for lo, hi in bounds], sizes
+        return [self.flat[lo:hi] for lo, hi in bounds]
 
     def role_split(self):
-        """(FO tensors, FO names, ZO runs, ZO sizes) of the current roles,
-        built again only when a role changed since the last call; callers
-        share the lists and must not change them."""
+        """(FO tensors, FO names, ZO runs) of the current roles, built again
+        only when a role changed since the last call; callers share the
+        lists and must not change them."""
         roles = tuple(t.role for t in self._tensors)
         if self._split[0] != roles:
             fo = self.tensors_with_role(Role.FO)
-            self._split = (roles, (fo, [t.name for t in fo], *self.flat_runs(Role.ZO)))
+            self._split = (roles, (fo, [t.name for t in fo], self.flat_runs(Role.ZO)))
         return self._split[1]
 
     # subclasses implement:

@@ -19,6 +19,7 @@ cost; with ``alpha > 0`` the tally also counts the perturbed-pass backward.
 from __future__ import annotations
 
 import ctypes
+import math
 import time
 from dataclasses import dataclass, field, fields
 
@@ -110,7 +111,7 @@ def hizfo_step(
 ) -> StepRecord:
     """One hybrid step over the model's current FO/ZO role assignment."""
     t0 = time.perf_counter_ns()
-    fo, fo_names, zo_runs, zo_sizes = model.role_split()
+    fo, fo_names, zo_runs = model.role_split()
     updater = fo_updater or FoUpdater(cfg)
     fwd_before, bwd_before = model.tally.forward, model.tally.backward
 
@@ -139,13 +140,11 @@ def hizfo_step(
         return _diverged(step_index, model, fwd_before, t0, loss_clean, float("nan"))
 
     coef = (loss_pert - loss_clean) / eps
-    # one pass restores and updates the ZO set. The squared coefficient may
-    # overflow to inf: the next forward pass then reports the divergence
-    with np.errstate(over="ignore"):
-        sq = add_scaled_noise(zo_runs, seed, -eps - cfg.eta_zo * coef, sizes=zo_sizes)
-        est_norm = float(np.sqrt(np.float64(coef) ** 2 * sq)) if zo_runs else 0.0
+    # one pass restores and updates the ZO set; an overflowing update is
+    # reported by the next forward pass
+    sq = add_scaled_noise(zo_runs, seed, -eps - cfg.eta_zo * coef)
     return _record(step_index, loss_clean, loss_pert, loss_clean + cfg.alpha * loss_pert,
-                   _grad_norm(grads[name] for name in fo_names), est_norm, bwd,
+                   _grad_norm(grads[name] for name in fo_names), abs(coef) * math.sqrt(sq), bwd,
                    model.tally.forward - fwd_before, t0)
 
 
@@ -189,7 +188,7 @@ def baseline_step_mezo(
     losses (no clean pass is run) and ``L_ZO`` stays zero.
     """
     t0 = time.perf_counter_ns()
-    runs, sizes = model.flat_runs()
+    runs = [model.flat]
     seed = step_seed(cfg.master_seed, step_index)
     eps = cfg.epsilon
     fwd_before = model.tally.forward
@@ -205,10 +204,10 @@ def baseline_step_mezo(
     finally:
         add_scaled_noise(runs, seed, -shift)  # restore, also when the step aborts
     coef = (loss_plus - loss_minus) / (2 * eps)
-    sq = add_scaled_noise(runs, seed, -cfg.eta_zo * coef, sizes=sizes)
+    sq = add_scaled_noise(runs, seed, -cfg.eta_zo * coef)
     mid = 0.5 * (loss_plus + loss_minus)
     return _record(step_index, mid, 0.0, mid, 0.0,
-                   abs(coef) * float(np.sqrt(sq)), 0, model.tally.forward - fwd_before, t0)
+                   abs(coef) * math.sqrt(sq), 0, model.tally.forward - fwd_before, t0)
 
 
 @dataclass

@@ -47,7 +47,7 @@ _GEN = np.random.Generator(np.random.Philox(key=0))
 _START = _GEN.bit_generator.state  # counter 0 and an empty buffer; the reset sets the key
 
 
-def add_scaled_noise(arrays, seed: int, scale: float, sizes=None) -> float:
+def add_scaled_noise(arrays, seed: int, scale: float) -> float:
     """Add scale * u to the arrays in place, u ~ N(0, I) drawn from `seed`.
 
     u is one Philox draw laid over the arrays in order. It equals consecutive
@@ -56,27 +56,19 @@ def add_scaled_noise(arrays, seed: int, scale: float, sizes=None) -> float:
     restore and apply the estimator update in one call (-eps - lr *
     coefficient), with zero stored noise.
 
-    Returns sum(u**2), summed array by array in order, for noise and
-    estimate norms. `sizes`, the sizes of the tensors the arrays span, only
-    fixes the rounding of that sum: it is then summed tensor by tensor.
+    Returns u @ u, one dot over the whole draw, for noise and estimate norms.
     """
     _START["state"]["key"][0] = seed & _MASK64
     _GEN.bit_generator.state = _START  # the stream of noise_generator(seed)
     u = _GEN.standard_normal(sum(a.size for a in arrays))
-    sq, k = 0.0, 0
+    sq = float(u @ u)
     with np.errstate(over="ignore", invalid="ignore"):
-        for s in [a.size for a in arrays] if sizes is None else sizes:
-            ut = u[k : k + s]
-            sq += ut.dot(ut)
-            k += s
-        if k != u.size:
-            raise ValueError(f"sizes sum to {k}, the arrays hold {u.size} elements")
         u *= scale
         k = 0
         for a in arrays:
             a += u[k : k + a.size].reshape(a.shape)
             k += a.size
-    return float(sq)
+    return sq
 
 
 def regenerate_noise(shapes, seed: int) -> list[np.ndarray]:

@@ -5,11 +5,13 @@ line per criterion. Comparative criteria (8-11) pin their full experiment
 configuration here so reruns are deterministic.
 """
 
+import csv
 import time
 
 import numpy as np
 import pytest
 
+from hizfo import cli
 from hizfo.datasets import CharCorpus, two_moons_batches
 from hizfo.importance import ImportanceProfile, estimate_importance
 from hizfo.models import (
@@ -258,24 +260,56 @@ def synth_text(n_words=6000, seed=0):
     return (" ".join(rng.choice(words) for _ in range(n_words))).encode()
 
 
-def lm_r_run(corpus, seed, r, eta_fo=0.05, steps=300):
-    model = TinyAttentionLM(vocab_size=corpus.vocab.size, d_model=16, depth=2,
-                            context=16, seed=seed)
-    batches = corpus.batches(8, 8, seed=seed)
-    eval_batches = corpus.batches(2, 8, seed=seed + 10_000)
-    profile = estimate_importance(model, batches, warmup_steps=3, warmup_lr=1e-3)
-    plan = solve_dp(profile, flops_profile(model, 8), 0.6, 10_000)
-    cfg = OptimizerConfig(eta_fo=eta_fo, eta_zo=r * eta_fo, epsilon=1e-3, alpha=0.1,
-                          master_seed=seed, max_steps=steps, eval_interval=10**9)
-    report = train(model, batches, cfg, plan, "hizfo", eval_batches=eval_batches)
-    return (float("inf") if report.diverged else report.final_eval_loss), report.diverged
+# criterion 10's LM; `hizfo sweep` sets each run's model, data and step seed
+LM_SWEEP_CONFIG = """\
+[model]
+kind = attention_lm
+d_model = 16
+depth = 2
+context = 16
+
+[task]
+dataset = char_corpus
+batch_size = 8
+train_batches = 8
+eval_batches = 2
+corpus_path = {corpus}
+
+[optimizer]
+algorithm = hizfo
+eta_fo = 0.05
+epsilon = 0.001
+alpha = 0.1
+max_steps = 300
+eval_interval = 1000000000
+
+[partition]
+rho = 0.6
+buckets = 10000
+warmup_steps = 3
+warmup_lr = 0.001
+"""
 
 
-def test_criterion_10_r_sweep_instability():
-    corpus = CharCorpus(synth_text(), context=16)
+@pytest.fixture(scope="module")
+def lm_r_sweep(tmp_path_factory):
+    """The rows of the shipped `hizfo sweep --axis r` over seeds 0-4, as
+    (r, seed, final eval loss, diverged); a diverged run's loss is inf."""
+    tmp = tmp_path_factory.mktemp("lm_r_sweep")
+    (tmp / "corpus.txt").write_bytes(synth_text())
+    (tmp / "lm.ini").write_text(LM_SWEEP_CONFIG.format(corpus=tmp / "corpus.txt"))
+    assert cli.main(["sweep", "--config", str(tmp / "lm.ini"), "--out", str(tmp / "out"),
+                     "--axis", "r", "--values", "0.1,0.3,0.5,0.7,0.9", "--seed", "0"]) == 0
+    with open(tmp / "out" / "sweep.csv", newline="") as f:
+        return [(float(row["value"]), int(row["seed"]), float(row["final_eval_loss"]),
+                 row["diverged"] == "1") for row in csv.DictReader(f)]
+
+
+def test_criterion_10_r_sweep_instability(lm_r_sweep):
     medians, any_div, worst_high_r = {}, False, 0.0
     for r in (0.1, 0.3, 0.5, 0.7, 0.9):
-        runs = [lm_r_run(corpus, seed, r) for seed in range(5)]
+        runs = [(loss, d) for value, _, loss, d in lm_r_sweep if value == r]
+        assert len(runs) == 5, f"r={r}: {len(runs)} sweep rows"
         losses = [x[0] for x in runs]
         medians[r] = float(np.median(losses))
         if r >= 0.7:

@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import math
 import os
 import subprocess
 import sys
@@ -53,7 +54,7 @@ def force_noise(monkeypatch):
     each call adds scale * u and returns size * u**2, like the seeded one."""
 
     def force(u):
-        def fake(arrays, seed, scale, sizes=None):
+        def fake(arrays, seed, scale):
             with np.errstate(over="ignore", invalid="ignore"):
                 for a in arrays:
                     a += scale * u
@@ -493,15 +494,19 @@ class TestTrain:
         assert report.final_eval_loss == float("inf")
 
     def test_overflowing_zo_coefficient_diverges(self):
-        # the finite-difference coefficient is about 1e157, so its square
-        # overflows: the step records an inf estimate norm instead of
-        # raising, and the next forward pass reports the divergence
+        # the finite-difference coefficient is about 1e157: the step records
+        # the finite norm |coef| * ||u|| without a warning, and the next
+        # forward pass reports the divergence
         m = QuadraticModel(blocks=((1, 1.0, 0.0), (4, 1e157, 0.0)), seed=0)
         plan = PartitionPlan(["block0"], ["block1"], 0.3, 0.0, 0, 0.0)
+        cfg = OptimizerConfig()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            report = train(m, [m.dummy_batch()], OptimizerConfig(), plan, "hizfo")
-        assert report.records[0].zo_estimate_norm == float("inf") and not report.records[0].diverged
+            report = train(m, [m.dummy_batch()], cfg, plan, "hizfo")
+        first = report.records[0]
+        (u,) = regenerate_noise([(4,)], step_seed(cfg.master_seed, 0))
+        norm = abs((first.L_ZO - first.L_FO) / cfg.epsilon) * math.sqrt(u @ u)
+        assert first.zo_estimate_norm == norm and 1e158 < norm < np.inf and not first.diverged
         assert report.diverged and report.steps_run == 2 and report.records[1].diverged
 
     @pytest.mark.parametrize("eval_interval", [1, 0])
