@@ -77,11 +77,6 @@ def _solve(cfg: ExperimentConfig, profile, cost):
     return solve_dp(profile, cost, cfg.rho, cfg.buckets)
 
 
-def _plan(cfg: ExperimentConfig):
-    model, batches, _, profile, cost = _profile(cfg)
-    return model, batches, profile, cost, _solve(cfg, profile, cost)
-
-
 def _run(cfg: ExperimentConfig):
     """Profile, plan and train one configured run: (plan, report)."""
     opt = build_optimizer_config(cfg)  # a bad [optimizer] value fails before any work
@@ -104,7 +99,8 @@ def cmd_profile(cfg: ExperimentConfig, out: Path) -> int:
 
 
 def cmd_partition(cfg: ExperimentConfig, out: Path) -> int:
-    plan = _plan(cfg)[-1]
+    _, _, _, profile, cost = _profile(cfg)
+    plan = _solve(cfg, profile, cost)
     out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "plan.json", plan.to_dict())
     msg = f"wrote {out / 'plan.json'} (|FO|={len(plan.fo_set)}, |ZO|={len(plan.zo_set)})"
@@ -246,7 +242,7 @@ def main(argv=None) -> int:
         cfg = load_config(args.config)
         if args.seed is not None:
             _set_seed(cfg, args.seed)
-        out = Path(args.out) if args.out else Path(cfg.out_dir)
+        out = Path(args.out or cfg.get("run", "out_dir"))
         # fail before the run, not when its results are written
         existing = next(p for p in (out, *out.parents) if p.exists())
         if not existing.is_dir():

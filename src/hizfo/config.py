@@ -92,10 +92,6 @@ class ExperimentConfig:
     def master_seed(self) -> int:
         return self.get("run", "master_seed")
 
-    @property
-    def out_dir(self) -> str:
-        return self.get("run", "out_dir")
-
     def warmup(self) -> tuple[int, float]:
         return self.get("partition", "warmup_steps"), self.get("partition", "warmup_lr")
 

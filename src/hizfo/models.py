@@ -285,8 +285,8 @@ class _AnalyticLayer:
 class _SequentialModel(LayeredModel):
     """Layers run one after another from the input to the loss head.
 
-    Subclasses check and convert the batch inputs in ``_inputs``; the layer
-    walk and the cross-entropy loss are shared.
+    Subclasses check the batch's shapes and convert its inputs in
+    ``_inputs``; the layer walk and the cross-entropy loss are shared.
     """
 
     def _forward(self, batch):
@@ -312,11 +312,16 @@ class _SequentialModel(LayeredModel):
 
     def _loss(self, logits, batch):
         """Mean cross-entropy over every position of ``logits`` (..., classes)
-        and its gradient; the targets are class indices below ``classes``."""
+        and its gradient. ``_inputs`` checked the targets' shape; an id that
+        is not an integer in [0, classes) is a ConfigurationError."""
         flat = logits.reshape(-1, logits.shape[-1])
         n, C = flat.shape
-        # the target entries of the row-major (n, C) arrays, as one flat index
-        at = np.arange(0, n * C, C) + np.asarray(batch.targets).reshape(-1).astype(int, copy=False)
+        # the target entries of the row-major (n, C) arrays, as one flat index;
+        # ravel_multi_index also rejects non-integer and out-of-range ids
+        try:
+            at = np.ravel_multi_index((np.arange(n), batch.targets.reshape(-1)), (n, C))
+        except (ValueError, TypeError):
+            raise ConfigurationError(f"targets must be integer class ids in [0, {C})") from None
         shifted = flat - _row_max(flat)
         e = np.exp(shifted)
         z = e.sum(axis=1, keepdims=True)
@@ -398,8 +403,9 @@ class MLPModel(_SequentialModel):
 
     def _inputs(self, batch):
         x = np.asarray(batch.inputs, dtype=np.float64)
-        if x.ndim != 2 or x.shape[1] != self.dims[0]:
-            raise ConfigurationError(f"mlp expects inputs (batch, {self.dims[0]}), got {x.shape}")
+        if x.ndim != 2 or x.shape[1] != self.dims[0] or batch.targets.shape != x.shape[:1]:
+            raise ConfigurationError(f"mlp expects inputs (batch, {self.dims[0]}) and targets (batch,), "
+                                     f"got {x.shape} and {batch.targets.shape}")
         return x
 
 
@@ -580,10 +586,9 @@ class TinyAttentionLM(_SequentialModel):
 
     def _inputs(self, batch):
         tokens = np.asarray(batch.inputs).astype(int)
-        if tokens.ndim != 2 or tokens.shape[1] > self.context:
-            raise ConfigurationError(
-                f"lm expects token inputs (batch, T<= {self.context}), got {tokens.shape}"
-            )
+        if tokens.ndim != 2 or tokens.shape[1] > self.context or batch.targets.shape != tokens.shape:
+            raise ConfigurationError(f"lm expects token inputs (batch, T<= {self.context}) and targets "
+                                     f"of their shape, got {tokens.shape} and {batch.targets.shape}")
         if tokens.min() < 0 or tokens.max() >= self.vocab_size:
             raise ConfigurationError("token id out of vocabulary range")
         return tokens

@@ -8,8 +8,8 @@ First-order tensors are updated with the gradient of
 finite-difference direction ``(L_perturbed - L_clean) / eps * u``. The step
 perturbs, runs the perturbed forward, truncated backward and FO update, and
 only then restores, so the alpha term is the true gradient of the perturbed
-loss. The restore and the ZO update are one pass, an aborted step restores
-alone, and the noise is never stored: both passes regenerate it from the seed.
+loss. The hybrid step ends in one pass that restores and adds the ZO update,
+zero when the step aborts; the noise is never stored: each pass regenerates it.
 
 ``backward_flops`` in a step record is what the model tally counts for the
 step's clean truncated backward over the FO set, the budget-comparable
@@ -125,6 +125,7 @@ def hizfo_step(
 
     seed = step_seed(cfg.master_seed, step_index)
     eps = cfg.epsilon
+    update = 0.0  # the ZO update's noise multiple, none if the step aborts
     add_scaled_noise(zo_runs, seed, +eps)
     try:
         loss_pert, cache_pert = model.forward_with_cache(batch)
@@ -133,16 +134,13 @@ def hizfo_step(
             for name, g in model.backward_from_cache(batch, cache_pert, fo_names).items():
                 grads[name] = grads[name] + cfg.alpha * g
         updater.apply(fo, grads)
-    except BaseException as e:
-        add_scaled_noise(zo_runs, seed, -eps)  # an aborted step only restores
-        if not isinstance(e, NumericOverflowError):
-            raise
+        coef = (loss_pert - loss_clean) / eps
+        update = -cfg.eta_zo * coef
+    except NumericOverflowError:
         return _diverged(step_index, model, fwd_before, t0, loss_clean, float("nan"))
-
-    coef = (loss_pert - loss_clean) / eps
-    # one pass restores and updates the ZO set; an overflowing update is
-    # reported by the next forward pass
-    sq = add_scaled_noise(zo_runs, seed, -eps - cfg.eta_zo * coef)
+    finally:
+        # restore and update in one pass; the next forward reports an overflow
+        sq = add_scaled_noise(zo_runs, seed, update - eps)
     return _record(step_index, loss_clean, loss_pert, loss_clean + cfg.alpha * loss_pert,
                    _grad_norm(grads[name] for name in fo_names), abs(coef) * math.sqrt(sq), bwd,
                    model.tally.forward - fwd_before, t0)
@@ -297,12 +295,13 @@ def train(
 
     final_eval = None
     if eval_batches is not None:
-        final_eval = None if diverged else _evaluate_or_none(model, eval_batches)
-        if final_eval is None:
-            diverged = True
-            final_eval = float("inf")
-        elif not eval_history or eval_history[-1][0] != len(records):
-            eval_history.append((len(records), final_eval))
+        # a periodic eval after the last step already saw the final weights
+        if not diverged and (not eval_history or eval_history[-1][0] != len(records)):
+            loss = _evaluate_or_none(model, eval_batches)
+            diverged = loss is None
+            if not diverged:
+                eval_history.append((len(records), loss))
+        final_eval = float("inf") if diverged else eval_history[-1][1]
 
     # tensors whose activations the gradient tape must keep
     taped = {"full_fo": model.tensors(), "mezo": []}.get(algorithm, model.tensors_with_role(Role.FO))

@@ -179,13 +179,15 @@ def brute_force_select(profile: ImportanceProfile, cost: CostModel, rho: float) 
 def apply_plan(model: LayeredModel, plan: PartitionPlan) -> None:
     """Assign FO/ZO roles per the plan; idempotent."""
     names = {t.name for t in model.tensors()}
+    fo, zo = set(plan.fo_set), set(plan.zo_set)
     for name in list(plan.fo_set) + list(plan.zo_set):
         if name not in names:
             raise ConfigurationError(f"plan names unknown tensor {name!r}")
-    missing = names - set(plan.fo_set) - set(plan.zo_set)
+    if fo & zo:
+        raise ConfigurationError(f"plan puts tensors in both fo_set and zo_set: {sorted(fo & zo)}")
+    missing = names - fo - zo
     if missing:
         raise ConfigurationError(f"plan does not cover tensors: {sorted(missing)}")
-    fo = set(plan.fo_set)
     for t in model.tensors():
         t.role = Role.FO if t.name in fo else Role.ZO
 

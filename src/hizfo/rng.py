@@ -53,8 +53,8 @@ def add_scaled_noise(arrays, seed: int, scale: float) -> float:
     u is one Philox draw laid over the arrays in order. It equals consecutive
     per-tensor draws, so an array may span several adjacent tensors. The same
     seed regenerates the same u, so the caller can perturb (+eps), then
-    restore and apply the estimator update in one call (-eps - lr *
-    coefficient), with zero stored noise.
+    restore and apply the estimator update in one call (-lr * coefficient
+    - eps), with zero stored noise.
 
     Returns u @ u, one dot over the whole draw, for noise and estimate norms.
     """

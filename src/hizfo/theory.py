@@ -48,10 +48,8 @@ class QuadraticObjective:
     def __init__(self, curvatures):
         self.c = np.asarray(curvatures, dtype=np.float64)
 
-    def value(self, theta):
-        return 0.5 * float(self.c @ (theta * theta))
-
-    def value_many(self, thetas):
+    def value(self, thetas):
+        """f over the last axis: a scalar for one point, one value per row of a stack."""
         return 0.5 * (thetas * thetas) @ self.c
 
     def grad(self, theta):
@@ -62,10 +60,7 @@ class QuarticObjective:
     """f(theta) = sum(theta^4); smooth but non-quadratic, so the
     forward-difference estimator has an O(mu^2) mean bias."""
 
-    def value(self, theta):
-        return float(np.sum(theta**4))
-
-    def value_many(self, thetas):
+    def value(self, thetas):
         return np.sum(thetas**4, axis=-1)
 
     def grad(self, theta):
@@ -74,7 +69,7 @@ class QuarticObjective:
 
 def forward_differences(objective, theta, mu, u):
     """One forward-difference estimate g_hat per row of ``u``; shape u.shape."""
-    diffs = (objective.value_many(theta + mu * u) - objective.value(theta)) / mu
+    diffs = (objective.value(theta + mu * u) - objective.value(theta)) / mu
     return diffs[:, None] * u
 
 

@@ -286,12 +286,13 @@ class TestCli:
         # a single alpha=0 hybrid step applies the same FO update as the
         # frozen-subset baseline, up to the (tiny-rate) ZO update side
         import numpy as np
-        from hizfo.cli import _plan
+        from hizfo.cli import _profile, _solve
         from hizfo.optimizer import baseline_step_frozen_subset, hizfo_step
         from hizfo.partition import apply_plan
         cfg = parse_config(MLP_CFG.format(out=tmp_path / "out"))
         cfg.set("optimizer", "alpha", 0.0)
-        model_a, batches, _, _, plan = _plan(cfg)
+        model_a, batches, _, profile, cost = _profile(cfg)
+        plan = _solve(cfg, profile, cost)
         apply_plan(model_a, plan)
         opt = build_optimizer_config(cfg)
         model_b = build_model(cfg)

@@ -340,6 +340,35 @@ class TestDeterminismAndErrors:
         with pytest.raises(ConfigurationError):
             m.forward(bad)
 
+    @pytest.mark.parametrize("case, match", [
+        ("class_count", "class ids in"), ("negative", "class ids in"), ("extra_axis", "and targets"),
+        ("other_positions", "and targets"), ("float", "class ids in"),
+    ])
+    @pytest.mark.parametrize("kind", ["mlp", "lm"])
+    def test_targets_checked_at_the_boundary(self, kind, case, match):
+        # unchecked, an id outside [0, classes) reads a logit of another row
+        # or raises a bare IndexError, and misshaped targets a broadcast error
+        if kind == "mlp":
+            m, classes = MLPModel(dims=(2, 16, 3), seed=0), 3
+            batch = two_moons_batches(1, 4, seed=0)[0]
+        else:
+            m, classes = TinyAttentionLM(vocab_size=8, d_model=4, depth=1, context=4, seed=0), 8
+            batch = lm_batch(vocab=8, batch=2, T=4)
+        y = batch.targets.copy()
+        m.forward(batch)
+        if case == "class_count":
+            y.flat[0] = classes
+        elif case == "negative":
+            y.flat[-1] = -1
+        elif case == "extra_axis":
+            y = y[..., None]
+        elif case == "other_positions":
+            y = y[:, :-1] if kind == "lm" else np.stack([y, y], axis=1)
+        else:
+            y = y.astype(float)
+        with pytest.raises(ConfigurationError, match=match):
+            m.forward(Batch(batch.inputs, y))
+
     def test_lm_caps(self):
         with pytest.raises(ConfigurationError):
             TinyAttentionLM(vocab_size=65)

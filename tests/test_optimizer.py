@@ -343,6 +343,29 @@ class TestBaselines:
         assert rec.diverged
         assert m.tensors()[0].data[0] == theta
 
+    @pytest.mark.parametrize("fails", [1, 2])
+    def test_mezo_aborted_step_restores_parameters(self, fails, monkeypatch):
+        # an error from the first probe forward leaves +eps to remove, one
+        # from the second -eps; either way the step restores and re-raises
+        m = MLPModel(dims=(2, 16, 2), seed=1)
+        batch = two_moons_batches(1, 32, seed=3)[0]
+        cfg = OptimizerConfig(**CFG)
+        before = m.flat.copy()
+        calls = iter(range(1, 3))
+        forward = m.forward
+
+        def failing(b):
+            if next(calls) == fails:
+                raise RuntimeError("injected")
+            return forward(b)
+
+        monkeypatch.setattr(m, "forward", failing)
+        with pytest.raises(RuntimeError, match="injected"):
+            baseline_step_mezo(m, batch, cfg, 4)
+        (u,) = regenerate_noise([before.shape], step_seed(cfg.master_seed, 4))
+        far = np.maximum(np.abs(before + cfg.epsilon * u), np.abs(before - cfg.epsilon * u))
+        assert np.all(np.abs(m.flat - before) <= 4 * np.spacing(np.maximum(np.abs(before), far)))
+
     @pytest.mark.parametrize("algorithm", ["full_fo", "frozen_subset"])
     def test_fo_baseline_overflow_aborts_step(self, algorithm):
         m = one_d_quadratic(theta=1e200, role=Role.FO)  # 0.5 * theta^2 overflows
@@ -533,6 +556,22 @@ class TestTrain:
             report = train(m, [m.dummy_batch()], cfg, None, "full_fo", eval_batches=[m.dummy_batch()] * 3)
         assert report.diverged and report.final_eval_loss == float("inf")
         assert report.eval_history == [] and report.to_dict()["final_eval_loss"] is None
+
+    @pytest.mark.parametrize("steps, interval, evals", [(200, 50, 4), (210, 50, 5), (20, 0, 1), (0, 50, 1)])
+    def test_final_weights_are_evaluated_once(self, steps, interval, evals, monkeypatch):
+        # the CLI defaults, 200 steps at interval 50, end on a periodic eval,
+        # which must serve as the final one
+        seen = []
+        monkeypatch.setattr(optimizer, "evaluate", lambda m, b: seen.append(m.flat.copy()) or len(seen) / 8)
+        m, plan = mlp_with_split()
+        cfg = OptimizerConfig(max_steps=steps, eval_interval=interval, **CFG)
+        report = train(m, two_moons_batches(2, 8, seed=0), cfg, plan, "full_fo", eval_batches=[None])
+        want = list(range(interval, steps + 1, interval)) if interval else []
+        if not want or want[-1] != steps:
+            want.append(steps)
+        assert len(seen) == evals == len(want)
+        assert report.eval_history == [(s, (k + 1) / 8) for k, s in enumerate(want)]
+        assert report.final_eval_loss == evals / 8 and np.array_equal(seen[-1], m.flat)
 
     def test_empty_eval_batches_rejected_before_any_step(self):
         m, plan = mlp_with_split()

@@ -280,6 +280,15 @@ class TestApplyPlan:
         with pytest.raises(ConfigurationError):
             apply_plan(m, self.plan(["ghost"], [t.name for t in m.tensors()]))
 
+    def test_tensor_in_both_sets_rejected(self):
+        # applied, FO would win silently: roles FO, ZO, ZO, ZO
+        m = MLPModel(dims=(2, 3, 2), seed=0)
+        names = [t.name for t in m.tensors()]
+        roles = [t.role for t in m.tensors()]
+        with pytest.raises(ConfigurationError, match=r"both fo_set and zo_set: \['layer1.weight'\]"):
+            apply_plan(m, self.plan(["layer1.weight"], names))
+        assert [t.role for t in m.tensors()] == roles
+
     def test_uncovered_tensor_rejected(self):
         m = MLPModel(dims=(2, 16, 2), seed=0)
         names = [t.name for t in m.tensors()]
