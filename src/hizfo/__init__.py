@@ -43,7 +43,7 @@ from .partition import (
     solve_dp,
 )
 from .rng import add_scaled_noise, noise_generator, regenerate_noise, splitmix64, step_seed
-from .tensors import Batch, ConfigurationError, NumericOverflowError, ParamTensor, Role
+from .tensors import Batch, ConfigurationError, NumericOverflowError, ParamTensor
 from .theory import (
     QuadraticObjective,
     QuarticObjective,

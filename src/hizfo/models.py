@@ -29,7 +29,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .tensors import Batch, ConfigurationError, NumericOverflowError, ParamTensor, Role
+from .tensors import Batch, ConfigurationError, NumericOverflowError, ParamTensor
 
 
 @dataclass
@@ -111,7 +111,8 @@ class LayeredModel:
     """Base class: ordered layers (output-nearest first) over ParamTensors,
     each layer pricing its tensors with ``cost_entries(layer_index, B, T)``.
     Every tensor's data is a slice of one float64 buffer, ``flat``, in tensor
-    order, so the tensors must be written in place, never rebound."""
+    order, so the tensors must be written in place, never rebound. The FO/ZO
+    split is set by ``assign`` alone; a new model is all FO."""
 
     kind = "base"
     context = 1  # the sequence length plans are made at; models without one read T = 1
@@ -129,23 +130,23 @@ class LayeredModel:
                 self._tensors.append(t)
         self._by_name = {t.name: t for t in self._tensors}
         self._starts = list(itertools.accumulate((t.size for t in self._tensors), initial=0))
-        self._bind()
+        self._bind(self._by_name)  # a new model is all FO
 
-    def _bind(self):
-        """Gather the tensors' data into ``flat``, in tensor order, and point
-        each tensor at its slice of it. A copy carries each parameter once,
-        in its tensor, and binds again when it is restored."""
+    def _bind(self, fo_names):
+        """Gather the tensors' data into ``flat``, in tensor order, point each
+        tensor at its slice and assign `fo_names`. A copy carries each parameter
+        once, in its tensor, and binds again, runs and all, when it is restored."""
         self.flat = np.concatenate([t.data for t in self._tensors])
         for t, start in zip(self._tensors, self._starts):
             t.data = self.flat[start : start + t.size]
-        self._split = (None, None)  # role_split's views point into the old buffer
+        self.assign(fo_names)
 
     def __getstate__(self):
-        return {k: v for k, v in self.__dict__.items() if k not in ("flat", "_split")}
+        return {k: v for k, v in self.__dict__.items() if k not in ("flat", "zo_runs")}
 
     def __setstate__(self, state):
         self.__dict__.update(state)
-        self._bind()
+        self._bind(self.fo_names)
 
     def tensors(self) -> list[ParamTensor]:
         return self._tensors
@@ -156,31 +157,24 @@ class LayeredModel:
         except KeyError:
             raise ConfigurationError(f"unknown tensor {name!r}") from None
 
-    def tensors_with_role(self, role: Role) -> list[ParamTensor]:
-        return [t for t in self._tensors if t.role == role]
-
-    def flat_runs(self, role: Role):
-        """The tensors with `role` as views of the flat buffer, one per run of
-        adjacent tensors. Roles are read at each call, so a role set after
-        the plan was applied counts."""
+    def assign(self, fo_names) -> None:
+        """Make the named tensors the FO set and every other tensor ZO: sets
+        ``fo`` and ``fo_names``, in tensor order, and ``zo_runs``, the ZO tensors
+        as views of ``flat``, one per run of adjacent ones. Callers must not change them."""
+        names = set(fo_names)
+        unknown = names - self._by_name.keys()
+        if unknown:
+            raise ConfigurationError(f"unknown tensors: {sorted(unknown)}")
+        self.fo = [t for t in self._tensors if t.name in names]
+        self.fo_names = [t.name for t in self.fo]
         bounds = []
         for t, start in zip(self._tensors, self._starts):
-            if t.role == role:
+            if t.name not in names:
                 if bounds and bounds[-1][1] == start:
                     bounds[-1][1] += t.size
                 else:
                     bounds.append([start, start + t.size])
-        return [self.flat[lo:hi] for lo, hi in bounds]
-
-    def role_split(self):
-        """(FO tensors, FO names, ZO runs) of the current roles, built again
-        only when a role changed since the last call; callers share the
-        lists and must not change them."""
-        roles = tuple(t.role for t in self._tensors)
-        if self._split[0] != roles:
-            fo = self.tensors_with_role(Role.FO)
-            self._split = (roles, (fo, [t.name for t in fo], self.flat_runs(Role.ZO)))
-        return self._split[1]
+        self.zo_runs = [self.flat[lo:hi] for lo, hi in bounds]
 
     # subclasses implement:
     def _forward(self, batch):  # -> (loss, cache)
@@ -402,11 +396,12 @@ class MLPModel(_SequentialModel):
         self._register(forward_layers[::-1])
 
     def _inputs(self, batch):
-        x = np.asarray(batch.inputs, dtype=np.float64)
-        if x.ndim != 2 or x.shape[1] != self.dims[0] or batch.targets.shape != x.shape[:1]:
-            raise ConfigurationError(f"mlp expects inputs (batch, {self.dims[0]}) and targets (batch,), "
-                                     f"got {x.shape} and {batch.targets.shape}")
-        return x
+        x = np.asarray(batch.inputs)
+        if x.dtype.kind not in "biuf" or x.ndim != 2 or x.shape[1] != self.dims[0] \
+                or batch.targets.shape != x.shape[:1]:
+            raise ConfigurationError(f"mlp expects real inputs (batch, {self.dims[0]}) and targets (batch,), "
+                                     f"got {x.dtype} {x.shape} and {batch.targets.shape}")
+        return x.astype(np.float64, copy=False)
 
 
 class _EmbeddingLayer:
@@ -585,10 +580,11 @@ class TinyAttentionLM(_SequentialModel):
         self._register([head] + blocks[::-1] + [embed])
 
     def _inputs(self, batch):
-        tokens = np.asarray(batch.inputs).astype(int)
-        if tokens.ndim != 2 or tokens.shape[1] > self.context or batch.targets.shape != tokens.shape:
-            raise ConfigurationError(f"lm expects token inputs (batch, T<= {self.context}) and targets "
-                                     f"of their shape, got {tokens.shape} and {batch.targets.shape}")
+        tokens = np.asarray(batch.inputs)
+        if tokens.dtype.kind not in "iu" or tokens.ndim != 2 or tokens.shape[1] > self.context \
+                or batch.targets.shape != tokens.shape:
+            raise ConfigurationError(f"lm expects integer token inputs (batch, T<= {self.context}) and targets "
+                                     f"of their shape, got {tokens.dtype} {tokens.shape} and {batch.targets.shape}")
         if tokens.min() < 0 or tokens.max() >= self.vocab_size:
             raise ConfigurationError("token id out of vocabulary range")
         return tokens

@@ -28,7 +28,7 @@ import numpy as np
 from .models import LayeredModel
 from .partition import PartitionPlan, apply_plan
 from .rng import add_scaled_noise, step_seed
-from .tensors import Batch, ConfigurationError, NumericOverflowError, Role
+from .tensors import Batch, ConfigurationError, NumericOverflowError
 
 ALGORITHMS = ("hizfo", "full_fo", "frozen_subset", "mezo")
 
@@ -109,9 +109,9 @@ def hizfo_step(
     step_index: int,
     fo_updater: FoUpdater | None = None,
 ) -> StepRecord:
-    """One hybrid step over the model's current FO/ZO role assignment."""
+    """One hybrid step over the model's FO/ZO split, as ``assign`` last set it."""
     t0 = time.perf_counter_ns()
-    fo, fo_names, zo_runs = model.role_split()
+    fo, fo_names, zo_runs = model.fo, model.fo_names, model.zo_runs
     updater = fo_updater or FoUpdater(cfg)
     fwd_before, bwd_before = model.tally.forward, model.tally.backward
 
@@ -304,7 +304,7 @@ def train(
         final_eval = float("inf") if diverged else eval_history[-1][1]
 
     # tensors whose activations the gradient tape must keep
-    taped = {"full_fo": model.tensors(), "mezo": []}.get(algorithm, model.tensors_with_role(Role.FO))
+    taped = {"full_fo": model.tensors(), "mezo": []}.get(algorithm, model.fo)
     return RunReport(
         algorithm=algorithm,
         steps_run=len(records),

@@ -1,4 +1,4 @@
-"""Budgeted tensor selection: DP solver, brute-force oracle, role assignment.
+"""Budgeted tensor selection: DP solver, brute-force oracle, plan application.
 
 The selection problem: pick the tensor subset with the largest total
 importance whose truncated-backward cost fits in ``rho * T_full`` FLOPs,
@@ -25,7 +25,7 @@ import numpy as np
 
 from .importance import ImportanceProfile
 from .models import CostModel, LayeredModel
-from .tensors import ConfigurationError, Role
+from .tensors import ConfigurationError
 
 _TOL = 1e-9  # forgives float noise when costs are exact bucket multiples
 _TIE = 1e-15  # importance sums closer than this count as equal
@@ -177,7 +177,7 @@ def brute_force_select(profile: ImportanceProfile, cost: CostModel, rho: float) 
 
 
 def apply_plan(model: LayeredModel, plan: PartitionPlan) -> None:
-    """Assign FO/ZO roles per the plan; idempotent."""
+    """Assign the plan's FO set to the model, checking the whole plan first; idempotent."""
     names = {t.name for t in model.tensors()}
     fo, zo = set(plan.fo_set), set(plan.zo_set)
     for name in list(plan.fo_set) + list(plan.zo_set):
@@ -188,8 +188,7 @@ def apply_plan(model: LayeredModel, plan: PartitionPlan) -> None:
     missing = names - fo - zo
     if missing:
         raise ConfigurationError(f"plan does not cover tensors: {sorted(missing)}")
-    for t in model.tensors():
-        t.role = Role.FO if t.name in fo else Role.ZO
+    model.assign(fo)
 
 
 def full_fo_plan(profile: ImportanceProfile, cost: CostModel) -> PartitionPlan:

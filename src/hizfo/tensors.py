@@ -1,16 +1,10 @@
-"""Parameter tensors, batches, roles and the library's error types."""
+"""Parameter tensors, batches and the library's error types."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import IntEnum
 
 import numpy as np
-
-
-class Role(IntEnum):
-    FO = 0      # updated with exact backpropagated gradients
-    ZO = 1      # updated with finite-difference estimates
 
 
 class ConfigurationError(ValueError):
@@ -31,16 +25,14 @@ class NumericOverflowError(FloatingPointError):
 
 
 class ParamTensor:
-    """A named flat array of float64 parameters with a partition role.
+    """A named flat array of float64 parameters.
 
     layer_index counts from the model output: the output-nearest layer is 0.
-    Roles are only reassigned when a partition plan is applied, never inside
-    an optimization step.
     """
 
-    __slots__ = ("name", "shape", "data", "role", "layer_index")
+    __slots__ = ("name", "shape", "data", "layer_index")
 
-    def __init__(self, name, shape, data, role=Role.FO, layer_index=0):
+    def __init__(self, name, shape, data, layer_index=0):
         shape = tuple(int(s) for s in shape)
         if any(s <= 0 for s in shape):
             raise ConfigurationError(f"tensor {name!r}: non-positive dimension in {shape}")
@@ -52,7 +44,6 @@ class ParamTensor:
         self.name = str(name)
         self.shape = shape
         self.data = data
-        self.role = Role(role)
         self.layer_index = int(layer_index)
 
     @property
@@ -64,7 +55,7 @@ class ParamTensor:
         return self.data.reshape(self.shape)
 
     def __repr__(self):
-        return f"ParamTensor({self.name!r}, shape={self.shape}, role={self.role.name}, layer={self.layer_index})"
+        return f"ParamTensor({self.name!r}, shape={self.shape}, layer={self.layer_index})"
 
 
 @dataclass

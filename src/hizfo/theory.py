@@ -23,7 +23,6 @@ import numpy as np
 from .models import QuadraticModel
 from .optimizer import OptimizerConfig, hizfo_step
 from .rng import step_seed
-from .tensors import Role
 
 
 @dataclass
@@ -125,9 +124,8 @@ def hybrid_run_min_grad_sq(spec: TheoryRunSpec, T: int) -> tuple[float, bool]:
     tracked gradient is the true one of the mean objective, c * theta.
     """
     c = spec.curvatures()
-    parts = [(0, spec.d_zo, Role.ZO), (spec.d_zo, c.size, Role.FO)]
-    parts = [(lo, hi, role) for lo, hi, role in parts if hi > lo]
-    model = QuadraticModel([(hi - lo, c[lo:hi], 0.0) for lo, hi, _ in parts])
+    parts = [(lo, hi) for lo, hi in ((0, spec.d_zo), (spec.d_zo, c.size)) if hi > lo]
+    model = QuadraticModel([(hi - lo, c[lo:hi], 0.0) for lo, hi in parts])
     rng = np.random.default_rng(step_seed(spec.seed, T))
     theta = rng.standard_normal(c.size)
     # scale the start so f(theta_0) equals the requested optimality gap
@@ -135,8 +133,7 @@ def hybrid_run_min_grad_sq(spec: TheoryRunSpec, T: int) -> tuple[float, bool]:
     if f0 > 0:
         theta *= np.sqrt(spec.gap0 / f0)
     model.flat[:] = theta  # the tensors lie in part order
-    for t, (_, _, role) in zip(model.tensors(), parts):
-        t.role = role
+    model.assign(t.name for t, (lo, _) in zip(model.tensors(), parts) if lo == spec.d_zo)
     eta = 1.0 / np.sqrt(T)
     cfg = OptimizerConfig(eta_fo=eta, eta_zo=eta, epsilon=1.0 / np.sqrt(max(spec.d_zo, 1) * T),
                           alpha=0.0, master_seed=spec.seed)
@@ -148,7 +145,7 @@ def hybrid_run_min_grad_sq(spec: TheoryRunSpec, T: int) -> tuple[float, bool]:
         if not np.isfinite(best):
             return float("inf"), True
         offset = spec.sigma_fo * rng.standard_normal(c.size) / c
-        for tgt, (lo, hi, _) in zip(model.targets, parts):
+        for tgt, (lo, hi) in zip(model.targets, parts):
             tgt[:] = offset[lo:hi]
         if hizfo_step(model, batch, cfg, step).diverged:
             return float("inf"), True

@@ -17,7 +17,6 @@ from .models import MLPModel
 from .optimizer import OptimizerConfig, hizfo_step
 from .partition import PartitionPlan, apply_plan
 from .rng import add_scaled_noise, regenerate_noise, step_seed
-from .tensors import Role
 from .theory import (
     QuadraticObjective,
     QuarticObjective,
@@ -84,11 +83,10 @@ def suite_restore_exactness(fast=False) -> SuiteResult:
     apply_plan(model, plan)
     cfg = OptimizerConfig(eta_fo=0.05, eta_zo=0.005, epsilon=1e-3, master_seed=5)
     eps = cfg.epsilon
-    zo = model.tensors_with_role(Role.ZO)
-    shapes = [t.data.shape for t in zo]
+    arrays = model.zo_runs
+    shapes = [a.shape for a in arrays]
     worst = 0.0
     for s in range(steps):
-        arrays = [t.data for t in zo]
         before = [a.copy() for a in arrays]
         probe = step_seed(12345, s)
         us = regenerate_noise(shapes, probe)

@@ -27,7 +27,7 @@ from hizfo.models import (
 from hizfo.optimizer import OptimizerConfig, hizfo_step, train
 from hizfo.partition import apply_plan, brute_force_select, solve_dp
 from hizfo.rng import add_scaled_noise, regenerate_noise, step_seed
-from hizfo.tensors import Batch, Role
+from hizfo.tensors import Batch
 from hizfo.theory import (
     QuadraticObjective,
     QuarticObjective,
@@ -160,7 +160,7 @@ def test_criterion_05_restore_exactness():
     apply_plan(model, plan)
     cfg = OptimizerConfig(eta_fo=0.05, eta_zo=0.005, epsilon=1e-3, alpha=0.1, master_seed=5)
     eps = cfg.epsilon
-    zo = model.tensors_with_role(Role.ZO)
+    zo = [model.tensor(n) for n in plan.zo_set]
     shapes = [t.data.shape for t in zo]
     init_zo = [t.data.copy() for t in zo]
     worst_ulp = 0.0

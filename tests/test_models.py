@@ -20,9 +20,10 @@ from hizfo.models import (
     flops_profile,
     full_gradient,
 )
-from hizfo.optimizer import OptimizerConfig, hizfo_step
+from hizfo.optimizer import OptimizerConfig, hizfo_step, train
+from hizfo.partition import PartitionPlan
 from hizfo.rng import add_scaled_noise, regenerate_noise
-from hizfo.tensors import Batch, ConfigurationError, NumericOverflowError, Role
+from hizfo.tensors import Batch, ConfigurationError, NumericOverflowError
 
 GOLDEN_CSV = Path(__file__).parent / "data" / "golden_losses.csv"
 
@@ -300,8 +301,7 @@ class TestCostModel:
     def test_roles_do_not_change_costs(self):
         m = MLPModel(dims=(2, 16, 2), seed=0)
         t1 = flops_profile(m, 8).total_backward_flops
-        for t in m.tensors():
-            t.role = Role.ZO
+        m.assign([])
         assert flops_profile(m, 8).total_backward_flops == t1
 
 
@@ -369,6 +369,26 @@ class TestDeterminismAndErrors:
         with pytest.raises(ConfigurationError, match=match):
             m.forward(Batch(batch.inputs, y))
 
+    def test_lm_token_ids_must_be_integers(self):
+        # cast to int, [1.9, 2.2, 3.7, 4.4] read tokens [1, 2, 3, 4] and gave their loss
+        m = TinyAttentionLM(vocab_size=8, d_model=4, depth=1, context=4, seed=0)
+        y = np.array([[2, 3, 4, 5]])
+        for tokens in ([[1.9, 2.2, 3.7, 4.4]], [[1.0, 2.0, 3.0, 4.0]], [[True, False, True, False]]):
+            with pytest.raises(ConfigurationError, match="integer token inputs"):
+                m.forward(Batch(np.array(tokens), y))
+        want = m.forward(Batch(np.array([[1, 2, 3, 4]]), y))
+        for dtype in (np.uint8, np.int32, np.uint64):
+            assert m.forward(Batch(np.array([[1, 2, 3, 4]], dtype=dtype), y)) == want
+
+    def test_mlp_inputs_must_be_real_numbers(self):
+        # numpy's own conversion raised a bare ValueError for strings and
+        # dropped the imaginary part of complex inputs
+        m = MLPModel(dims=(2, 16, 2), seed=0)
+        for x in ([["a", "b"]], [[1 + 1j, 2]], [[None, 1.0]]):
+            with pytest.raises(ConfigurationError, match="real inputs"):
+                m.forward(Batch(np.array(x), np.array([0])))
+        assert m.forward(Batch(np.array([[1, 2]]), np.array([0]))) == m.forward(Batch(np.array([[1.0, 2.0]]), np.array([0])))
+
     def test_lm_caps(self):
         with pytest.raises(ConfigurationError):
             TinyAttentionLM(vocab_size=65)
@@ -396,11 +416,10 @@ class TestFlatBuffer:
     def test_runs_equal_per_tensor_noise(self, kind, k, mode, bits, seed, scale):
         m = _SMALL[kind](k)
         mask = [mode == "zo" or (mode == "mixed" and bool(bits >> i & 1)) for i in range(len(m.tensors()))]
-        for t, zo in zip(m.tensors(), mask):
-            t.role = Role.ZO if zo else Role.FO
+        m.assign(t.name for t, zo in zip(m.tensors(), mask) if not zo)
         before = [t.data.copy() for t in m.tensors()]
-        zo = m.tensors_with_role(Role.ZO)
-        runs = m.flat_runs(Role.ZO)
+        zo = [t for t, z in zip(m.tensors(), mask) if z]
+        runs = m.zo_runs
         # one run per maximal stretch of adjacent ZO tensors
         assert len(runs) == sum(z and (i == 0 or not mask[i - 1]) for i, z in enumerate(mask))
         sq = add_scaled_noise(runs, seed, scale)
@@ -420,8 +439,7 @@ class TestFlatBuffer:
         m = {"mlp": lambda: MLPModel(dims=(2, 8, 2), seed=3),
              "lm": lambda: TinyAttentionLM(vocab_size=10, d_model=4, depth=2, context=8, seed=3)}[kind]()
         batch = two_moons_batches(1, 16, seed=0)[0] if kind == "mlp" else lm_batch(vocab=10)
-        for i, t in enumerate(m.tensors()):
-            t.role = Role.FO if i % 3 == 0 else Role.ZO
+        m.assign(t.name for i, t in enumerate(m.tensors()) if i % 3 == 0)
         c = _CLONES[clone](m)
         for t in c.tensors():
             assert np.shares_memory(t.data, c.flat) and not np.shares_memory(t.data, m.flat), t.name
@@ -577,37 +595,80 @@ class TestLossKernels:
 
 
 class TestRoleSplit:
+    """The model's one FO/ZO split, set by ``assign`` and read by the steps."""
+
     def _model(self):
         m = TinyAttentionLM(vocab_size=10, d_model=4, depth=2, context=8, seed=5)
-        for i, t in enumerate(m.tensors()):
-            t.role = Role.FO if i % 3 == 0 else Role.ZO
+        m.assign(t.name for i, t in enumerate(m.tensors()) if i % 3 == 0)
         return m
+
+    @staticmethod
+    def _split(m):
+        return m.fo, m.fo_names, m.zo_runs
 
     def test_split_follows_the_roles(self):
         m = self._model()
-        split = m.role_split()
-        assert m.role_split() is split  # kept while no role changes
-        m.tensors()[1].role = Role.FO
-        fo, names, runs = m.role_split()
-        assert fo == m.tensors_with_role(Role.FO) and names == [t.name for t in fo]
-        want_runs = m.flat_runs(Role.ZO)
-        assert len(runs) == len(want_runs)
-        for r, w in zip(runs, want_runs):
-            assert np.shares_memory(r, m.flat) and r.shape == w.shape and np.shares_memory(r, w)
+        split = self._split(m)
+        cfg = OptimizerConfig(eta_fo=0.05, eta_zo=0.005, epsilon=1e-3, alpha=0.1, master_seed=2)
+        for step in range(3):
+            hizfo_step(m, lm_batch(vocab=10), cfg, step)
+        assert all(a is b for a, b in zip(self._split(m), split))  # steps reuse it
+        # a re-assign replaces the split: tensor 1 joins the FO set
+        fo = [t for i, t in enumerate(m.tensors()) if i % 3 == 0 or i == 1]
+        m.assign(reversed([t.name for t in fo]))
+        assert m.zo_runs is not split[2]
+        assert m.fo == fo and m.fo_names == [t.name for t in fo]
+        zo = [t.name not in m.fo_names for t in m.tensors()]
+        # one run per maximal stretch of adjacent ZO tensors, viewing exactly their data
+        assert len(m.zo_runs) == sum(z and (i == 0 or not zo[i - 1]) for i, z in enumerate(zo))
+        for r in m.zo_runs:
+            assert np.shares_memory(r, m.flat)
+            r[:] = np.nan
+        for t, z in zip(m.tensors(), zo):
+            assert np.isnan(t.data).all() if z else not np.isnan(t.data).any(), t.name
+
+    def test_train_assigns_the_plan_once(self, monkeypatch):
+        m = self._model()
+        names = [t.name for t in m.tensors()]
+        plan = PartitionPlan(names[:2], names[2:], 0.5, 0.0, 0, 0.0)
+        calls = []
+        assign = type(m).assign
+        monkeypatch.setattr(type(m), "assign", lambda self, fo: calls.append(1) or assign(self, fo))
+        cfg = OptimizerConfig(eta_fo=0.05, eta_zo=0.005, epsilon=1e-3, max_steps=5, master_seed=2)
+        report = train(m, [lm_batch(vocab=10)], cfg, plan, "hizfo")
+        assert report.steps_run == 5 and calls == [1] and m.fo_names == names[:2]
+
+    def test_assign_rejects_unknown_names_and_keeps_the_split(self):
+        m = self._model()
+        split = self._split(m)
+        for bad in (["nope"], ["head.weight", "nope"], "head.weight"):
+            with pytest.raises(ConfigurationError, match="unknown"):
+                m.assign(bad)
+            assert all(a is b for a, b in zip(self._split(m), split))
+
+    @pytest.mark.parametrize("kind", sorted(_SMALL))
+    def test_a_new_model_is_all_fo(self, kind):
+        m = _SMALL[kind](3)
+        assert m.fo == m.tensors() and m.fo_names == [t.name for t in m.tensors()] and m.zo_runs == []
 
     @pytest.mark.parametrize("clone", sorted(_CLONES))
     def test_copy_after_a_step_moves_only_its_own_zo_tensors(self, clone):
         m = self._model()
+        fo_names = m.fo_names
+        m.assign(t.name for t in m.tensors())
+        size = len(pickle.dumps(m))  # all FO, with no ZO runs
+        m.assign(fo_names)
         batch = lm_batch(vocab=10)
         cfg = OptimizerConfig(eta_fo=0.05, eta_zo=0.005, epsilon=1e-3, alpha=0.1, master_seed=2)
-        size = len(pickle.dumps(m))
-        hizfo_step(m, batch, cfg, 0)  # builds the original's split
+        hizfo_step(m, batch, cfg, 0)
         c = _CLONES[clone](m)
         assert len(pickle.dumps(m)) < size + m.flat.nbytes // 2  # the split's views are not copied
-        for r in c.role_split()[2]:
+        assert c.fo_names == m.fo_names and all(t is c.tensor(t.name) for t in c.fo)
+        assert len(c.zo_runs) == len(m.zo_runs)
+        for r in c.zo_runs:
             assert np.shares_memory(r, c.flat) and not np.shares_memory(r, m.flat)
         original = m.flat.copy()
-        zo_before = [(t, t.data.copy()) for t in c.tensors_with_role(Role.ZO)]
+        zo_before = [(t, t.data.copy()) for t in c.tensors() if t.name not in c.fo_names]
         hizfo_step(c, batch, cfg, 1)
         assert np.array_equal(m.flat, original)
         for t, before in zo_before:

@@ -26,14 +26,14 @@ from hizfo.optimizer import (
 )
 from hizfo.partition import PartitionPlan, apply_plan
 from hizfo.rng import regenerate_noise, step_seed
-from hizfo.tensors import Batch, ConfigurationError, NumericOverflowError, Role
+from hizfo.tensors import Batch, ConfigurationError, NumericOverflowError
 from hizfo.theory import QuadraticObjective, forward_differences
 
 
-def one_d_quadratic(theta=1.0, role=Role.ZO):
+def one_d_quadratic(theta=1.0, fo=False):
     m = QuadraticModel(blocks=((1, 1.0, 0.0),), seed=0)
     m.tensors()[0].data[:] = theta
-    m.tensors()[0].role = role
+    m.assign(["block0"] if fo else [])
     return m
 
 
@@ -92,8 +92,7 @@ class TestHizfoStep:
         m = QuadraticModel(blocks=((1, 1.0, 0.0), (1, 1.0, 0.0)), seed=0)
         for t in m.tensors():
             t.data[:] = 1.0
-        m.tensors()[0].role = Role.FO
-        m.tensors()[1].role = Role.ZO
+        m.assign(["block0"])
         alpha, eta = 0.25, 0.1
         cfg = OptimizerConfig(eta_fo=eta, eta_zo=1e-6, epsilon=1e-3, alpha=alpha, master_seed=1)
         force_noise(0.0)
@@ -106,7 +105,7 @@ class TestHizfoStep:
         c = np.linspace(0.5, 1.5, 16)
         m = QuadraticModel(blocks=((16, c, 0.0),), seed=0)
         zo = m.tensors()[0]
-        zo.role = Role.ZO
+        m.assign([])
         cfg = OptimizerConfig(eta_fo=0.1, eta_zo=0.01, epsilon=1e-3, alpha=0.0, master_seed=3)
         obj = QuadraticObjective(c)
         worst = 0.0
@@ -124,7 +123,7 @@ class TestHizfoStep:
         cfg = OptimizerConfig(**CFG)
         from hizfo.rng import add_scaled_noise, regenerate_noise, step_seed
 
-        zo = m.tensors_with_role(Role.ZO)
+        zo = [m.tensor(n) for n in plan.zo_set]
         shapes = [t.data.shape for t in zo]
         worst = 0.0
         for s in range(100):
@@ -145,7 +144,7 @@ class TestHizfoStep:
         m, plan = mlp_with_split()
         batch = two_moons_batches(1, 32, seed=3)[0]
         fo_names = list(plan.fo_set)
-        zo = [t.data for t in m.tensors_with_role(Role.ZO)]
+        zo = [m.tensor(n).data for n in plan.zo_set]
         eps = 1e-3
         loss_clean, cache = m.forward_with_cache(batch)
         g_clean = m.backward_from_cache(batch, cache, fo_names)
@@ -166,16 +165,15 @@ class TestHizfoStep:
         def lm():
             m = TinyAttentionLM(vocab_size=12, d_model=8, depth=2, context=8, seed=4)
             fo = {"head.weight", "block0.w1", "block0.b1"}
-            for t in m.tensors():
-                t.role = Role.FO if t.name in fo else Role.ZO
-            return m, [t.name for t in m.tensors() if t.name in fo]
+            m.assign(fo)
+            return m, m.fo_names
 
         rng = np.random.default_rng(2)
         batch = Batch(rng.integers(0, 12, (3, 8)), rng.integers(0, 12, (3, 8)))
         cfg = OptimizerConfig(**CFG)
         ref, fo_names = lm()
         g_clean = backward_truncated(ref, batch, fo_names)
-        zo = ref.tensors_with_role(Role.ZO)
+        zo = [t for t in ref.tensors() if t.name not in fo_names]
         us = regenerate_noise([t.data.shape for t in zo], step_seed(cfg.master_seed, 3))
         for t, u in zip(zo, us):
             t.data += cfg.epsilon * u
@@ -228,9 +226,8 @@ class TestHizfoStep:
         # even for the enormous forced noise that overflows the perturbed pass
         m = QuadraticModel(blocks=((1, 1.0, 0.0), (1, 1e300, 0.0)), seed=0)
         m.tensors()[0].data[:] = 1.0
-        m.tensors()[0].role = Role.FO
         m.tensors()[1].data[:] = 0.0
-        m.tensors()[1].role = Role.ZO
+        m.assign(["block0"])
         cfg = OptimizerConfig(**CFG)
         force_noise(1e160)
         rec = hizfo_step(m, m.dummy_batch(), cfg, 0)
@@ -241,11 +238,11 @@ class TestHizfoStep:
 
     @pytest.mark.parametrize("fails", ["perturbed backward", "fo update"])
     def test_aborted_step_restores_zo_alone(self, fails, monkeypatch):
-        m, _ = mlp_with_split()
+        m, plan = mlp_with_split()
         batch = two_moons_batches(1, 32, seed=3)[0]
         cfg = OptimizerConfig(**CFG)
         assert cfg.alpha > 0
-        fo, zo = m.tensors_with_role(Role.FO), m.tensors_with_role(Role.ZO)
+        fo, zo = [m.tensor(n) for n in plan.fo_set], [m.tensor(n) for n in plan.zo_set]
         fo_before = [t.data.copy() for t in fo]
         zo_before = [t.data.copy() for t in zo]
 
@@ -269,7 +266,7 @@ class TestHizfoStep:
 
 class TestBaselines:
     def test_full_fo_quadratic_sgd_step(self):
-        m = one_d_quadratic(role=Role.FO)
+        m = one_d_quadratic(fo=True)
         cfg = OptimizerConfig(eta_fo=0.1, eta_zo=1e-6, epsilon=1e-3, master_seed=0)
         rec = baseline_step_full_fo(m, m.dummy_batch(), cfg)
         assert m.tensors()[0].data[0] == pytest.approx(0.9, abs=1e-15)
@@ -286,10 +283,11 @@ class TestBaselines:
     def test_frozen_subset_leaves_zo_untouched(self):
         m, plan = mlp_with_split()
         batch = two_moons_batches(1, 32, seed=3)[0]
-        zo_before = [t.data.copy() for t in m.tensors_with_role(Role.ZO)]
+        zo = [m.tensor(n) for n in plan.zo_set]
+        zo_before = [t.data.copy() for t in zo]
         cfg = OptimizerConfig(**CFG)
         rec = baseline_step_frozen_subset(m, batch, cfg, plan)
-        for t, b in zip(m.tensors_with_role(Role.ZO), zo_before):
+        for t, b in zip(zo, zo_before):
             assert np.array_equal(t.data, b)
         assert rec.zo_estimate_norm == 0.0
 
@@ -368,7 +366,7 @@ class TestBaselines:
 
     @pytest.mark.parametrize("algorithm", ["full_fo", "frozen_subset"])
     def test_fo_baseline_overflow_aborts_step(self, algorithm):
-        m = one_d_quadratic(theta=1e200, role=Role.FO)  # 0.5 * theta^2 overflows
+        m = one_d_quadratic(theta=1e200, fo=True)  # 0.5 * theta^2 overflows
         plan = PartitionPlan([m.tensors()[0].name], [], 1.0, 0.0, 0, 0.0)
         cfg = OptimizerConfig(**CFG)
         bwd_before = m.tally.backward
@@ -435,10 +433,9 @@ import resource
 import numpy as np
 from hizfo.models import TinyAttentionLM
 from hizfo.optimizer import OptimizerConfig, baseline_step_full_fo, hizfo_step
-from hizfo.tensors import Batch, Role
+from hizfo.tensors import Batch
 m = TinyAttentionLM(vocab_size=30, d_model=16, depth=2, context=16, seed=0)
-for i, t in enumerate(m.tensors()):
-    t.role = Role.FO if i < 3 else Role.ZO
+m.assign(t.name for t in m.tensors()[:3])
 rng = np.random.default_rng(0)
 batch = Batch(rng.integers(0, 30, (8, 16)), rng.integers(0, 30, (8, 16)))
 cfg = OptimizerConfig(eta_fo=0.05, eta_zo=0.005)
@@ -468,8 +465,7 @@ def test_hybrid_step_frees_the_clean_cache_before_the_perturbed_pass():
     import tracemalloc
 
     m = TinyAttentionLM(vocab_size=20, d_model=16, depth=2, context=16, seed=0)
-    for t in m.tensors():
-        t.role = Role.FO if t.name in ("head.weight", "block1.b2", "embed.token") else Role.ZO
+    m.assign(["head.weight", "block1.b2", "embed.token"])
     batch = Batch(*np.random.default_rng(0).integers(0, 20, size=(2, 8, 16)))
     cfg = OptimizerConfig(eta_fo=0.05, eta_zo=0.005, alpha=0.1)
     peaks = {}
@@ -549,7 +545,7 @@ class TestTrain:
 
     def test_overflowing_eval_mean_reports_divergence(self):
         # each eval batch's loss (7.2e307) is finite, their sum is not
-        m = one_d_quadratic(theta=1.2e154, role=Role.FO)
+        m = one_d_quadratic(theta=1.2e154, fo=True)
         cfg = OptimizerConfig(max_steps=0, **CFG)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -595,7 +591,7 @@ class TestTrain:
         m, plan = mlp_with_split()
         cfg = OptimizerConfig(max_steps=2, **CFG)
         report = train(m, two_moons_batches(1, 16, seed=0), cfg, plan, "hizfo")
-        fo_elems = sum(t.size for t in m.tensors_with_role(Role.FO))
+        fo_elems = sum(m.tensor(n).size for n in plan.fo_set)
         assert report.memory_proxy == {"tape_params": fo_elems}
 
     def test_step_csv_contract(self, tmp_path):

@@ -16,7 +16,7 @@ from hizfo.partition import (
     full_fo_plan,
     solve_dp,
 )
-from hizfo.tensors import ConfigurationError, Role
+from hizfo.tensors import ConfigurationError
 
 
 def profile_of(scores):
@@ -247,53 +247,64 @@ class TestApplyPlan:
     def plan(self, fo, zo):
         return PartitionPlan(fo, zo, 0.5, 0.0, 0, 0.0)
 
+    @staticmethod
+    def runs(m):
+        """Each ZO run as (offset into flat, length)."""
+        return [(r.ctypes.data - m.flat.ctypes.data, r.size) for r in m.zo_runs]
+
     def test_roles_assigned(self):
         m = MLPModel(dims=(2, 16, 2), seed=0)
         names = [t.name for t in m.tensors()]
         apply_plan(m, self.plan(names[:1], names[1:]))
-        assert m.tensors()[0].role == Role.FO
-        assert all(t.role == Role.ZO for t in m.tensors()[1:])
+        assert m.fo == m.tensors()[:1] and m.fo_names == names[:1]
+        head = m.tensors()[0].data.nbytes
+        assert self.runs(m) == [(head, m.flat.size - m.tensors()[0].size)]
 
     def test_empty_fo_all_zo(self):
         m = MLPModel(dims=(2, 16, 2), seed=0)
         names = [t.name for t in m.tensors()]
         apply_plan(m, self.plan([], names))
-        assert all(t.role == Role.ZO for t in m.tensors())
+        assert m.fo == [] and m.fo_names == [] and self.runs(m) == [(0, m.flat.size)]
 
     def test_full_fo(self):
         m = MLPModel(dims=(2, 16, 2), seed=0)
         names = [t.name for t in m.tensors()]
+        apply_plan(m, self.plan([], names))
         apply_plan(m, self.plan(names, []))
-        assert all(t.role == Role.FO for t in m.tensors())
+        assert m.fo == m.tensors() and m.fo_names == names and m.zo_runs == []
 
     def test_idempotent(self):
         m = MLPModel(dims=(2, 16, 2), seed=0)
         names = [t.name for t in m.tensors()]
         plan = self.plan(names[:2], names[2:])
         apply_plan(m, plan)
-        roles = [t.role for t in m.tensors()]
+        fo, fo_names, runs = list(m.fo), list(m.fo_names), self.runs(m)
         apply_plan(m, plan)
-        assert roles == [t.role for t in m.tensors()]
+        assert (m.fo, m.fo_names, self.runs(m)) == (fo, fo_names, runs)
+
+    def rejected(self, m, plan, match=None):
+        """The plan is rejected and the model's split is left as it was."""
+        names = [t.name for t in m.tensors()]
+        apply_plan(m, self.plan(names[1:2], names[:1] + names[2:]))
+        split = (m.fo, m.fo_names, m.zo_runs)
+        with pytest.raises(ConfigurationError, match=match):
+            apply_plan(m, plan)
+        assert all(a is b for a, b in zip((m.fo, m.fo_names, m.zo_runs), split))
 
     def test_unknown_tensor_rejected(self):
         m = MLPModel(dims=(2, 16, 2), seed=0)
-        with pytest.raises(ConfigurationError):
-            apply_plan(m, self.plan(["ghost"], [t.name for t in m.tensors()]))
+        self.rejected(m, self.plan(["ghost"], [t.name for t in m.tensors()]))
 
     def test_tensor_in_both_sets_rejected(self):
-        # applied, FO would win silently: roles FO, ZO, ZO, ZO
+        # applied, FO would win silently: FO, ZO, ZO, ZO
         m = MLPModel(dims=(2, 3, 2), seed=0)
         names = [t.name for t in m.tensors()]
-        roles = [t.role for t in m.tensors()]
-        with pytest.raises(ConfigurationError, match=r"both fo_set and zo_set: \['layer1.weight'\]"):
-            apply_plan(m, self.plan(["layer1.weight"], names))
-        assert [t.role for t in m.tensors()] == roles
+        self.rejected(m, self.plan(["layer1.weight"], names), r"both fo_set and zo_set: \['layer1.weight'\]")
 
     def test_uncovered_tensor_rejected(self):
         m = MLPModel(dims=(2, 16, 2), seed=0)
         names = [t.name for t in m.tensors()]
-        with pytest.raises(ConfigurationError):
-            apply_plan(m, self.plan(names[:1], names[2:]))
+        self.rejected(m, self.plan(names[:1], names[2:]))
 
 
 class TestSerialization:

@@ -13,7 +13,7 @@ import pytest
 
 from hizfo.models import TinyAttentionLM
 from hizfo.optimizer import OptimizerConfig, baseline_step_mezo, hizfo_step
-from hizfo.tensors import Batch, Role
+from hizfo.tensors import Batch
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -69,11 +69,13 @@ def test_install_then_uninstall_puts_every_attribute_back():
     assert _changed(before) == []
 
 
-def test_harness_steps_every_algorithm(tmp_path):
+@pytest.mark.parametrize("workload", sorted(harness.WORKLOADS))
+def test_harness_steps_every_algorithm(workload, tmp_path):
     # the set-up path and one step of each algorithm, as the benchmark calls
-    # them: the config keys, OptimizerConfig fields, FoUpdater and the
-    # fo_updater= keyword it passes must all still be accepted
-    w = harness.WORKLOADS["mlp_moons_train"]
+    # them: the config keys, OptimizerConfig fields, FoUpdater, the
+    # fo_updater= keyword it passes and the plan applied to each deep copy
+    # of the set-up model must all still work
+    w = harness.WORKLOADS[workload]
     setup = harness.set_up(harness.make_inputs(w, 7, tmp_path, steps=5))
     checks = harness.Checks()
     trainer = harness.Trainer(setup, 10**9, w.reference, checks)
@@ -88,9 +90,9 @@ def test_noise_spans_count_the_elements_drawn():
     # order: two calls per hybrid step over the ZO set (perturb, then restore
     # and update in one), four per MeZO step over the whole model
     m = TinyAttentionLM(vocab_size=10, d_model=4, depth=3, context=8, seed=0)
-    for t in m.tensors():
-        t.role = Role.FO if t.name in ("head.weight", "block2.b1", "block1.wq", "embed.position") else Role.ZO
-    zo_elems = sum(t.size for t in m.tensors_with_role(Role.ZO))
+    fo = ("head.weight", "block2.b1", "block1.wq", "embed.position")
+    m.assign(fo)
+    zo_elems = sum(t.size for t in m.tensors() if t.name not in fo)
     rng = np.random.default_rng(0)
     batch = Batch(rng.integers(0, 10, size=(2, 8)), rng.integers(0, 10, size=(2, 8)))
     cfg = OptimizerConfig(eta_fo=0.05, eta_zo=0.005, epsilon=1e-3, alpha=0.1, master_seed=1)
