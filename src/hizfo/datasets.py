@@ -37,11 +37,11 @@ class ByteVocab:
 
     MAX_SIZE = 64
 
-    def __init__(self, data: bytes, max_size: int = MAX_SIZE):
+    def __init__(self, data: bytes):
         counts = np.bincount(np.frombuffer(data, dtype=np.uint8), minlength=256)
         present = np.flatnonzero(counts)
         # most frequent first; the stable sort breaks ties by byte value
-        keep = np.sort(present[np.argsort(-counts[present], kind="stable")][: max_size - 1])
+        keep = np.sort(present[np.argsort(-counts[present], kind="stable")][: self.MAX_SIZE - 1])
         # ids in byte order from 1; every other byte maps to OOV
         self.id_table = np.full(256, OOV, dtype=np.int64)
         self.id_table[keep] = np.arange(1, keep.size + 1)

@@ -110,9 +110,11 @@ def _init_dense(rng, fan_in, fan_out):
 class LayeredModel:
     """Base class: ordered layers (output-nearest first) over ParamTensors,
     each layer pricing its tensors with ``cost_entries(layer_index, B, T)``.
-    Every tensor's data is a slice of one float64 buffer, ``flat``, in tensor
-    order, so the tensors must be written in place, never rebound. The FO/ZO
-    split is set by ``assign`` alone; a new model is all FO."""
+    Every tensor's data is a slice of one float64 buffer, ``flat``, laid out
+    by ``assign`` alone: the ZO tensors first, then the FO ones. The tensors
+    are written in place between assigns; an assign rebinds every tensor's
+    data to a new buffer, so a reference held across it goes stale. A new
+    model is all FO, so its buffer is in tensor order."""
 
     kind = "base"
     context = 1  # the sequence length plans are made at; models without one read T = 1
@@ -129,24 +131,16 @@ class LayeredModel:
                 t.layer_index = i
                 self._tensors.append(t)
         self._by_name = {t.name: t for t in self._tensors}
-        self._starts = list(itertools.accumulate((t.size for t in self._tensors), initial=0))
-        self._bind(self._by_name)  # a new model is all FO
-
-    def _bind(self, fo_names):
-        """Gather the tensors' data into ``flat``, in tensor order, point each
-        tensor at its slice and assign `fo_names`. A copy carries each parameter
-        once, in its tensor, and binds again, runs and all, when it is restored."""
-        self.flat = np.concatenate([t.data for t in self._tensors])
-        for t, start in zip(self._tensors, self._starts):
-            t.data = self.flat[start : start + t.size]
-        self.assign(fo_names)
+        self.assign(self._by_name)
 
     def __getstate__(self):
-        return {k: v for k, v in self.__dict__.items() if k not in ("flat", "zo_runs")}
+        # a copy carries each parameter once, in its tensor, and assign lays
+        # the buffer out again when it is restored
+        return {k: v for k, v in self.__dict__.items() if k not in ("flat", "zo")}
 
     def __setstate__(self, state):
         self.__dict__.update(state)
-        self._bind(self.fo_names)
+        self.assign(self.fo_names)
 
     def tensors(self) -> list[ParamTensor]:
         return self._tensors
@@ -159,22 +153,22 @@ class LayeredModel:
 
     def assign(self, fo_names) -> None:
         """Make the named tensors the FO set and every other tensor ZO: sets
-        ``fo`` and ``fo_names``, in tensor order, and ``zo_runs``, the ZO tensors
-        as views of ``flat``, one per run of adjacent ones. Callers must not change them."""
+        ``fo`` and ``fo_names``, in tensor order, lays out a new ``flat``, the ZO
+        tensors and then the FO ones, each in tensor order, and sets ``zo``, the
+        view of its ZO head. Callers must not change them."""
         names = set(fo_names)
         unknown = names - self._by_name.keys()
         if unknown:
             raise ConfigurationError(f"unknown tensors: {sorted(unknown)}")
         self.fo = [t for t in self._tensors if t.name in names]
         self.fo_names = [t.name for t in self.fo]
-        bounds = []
-        for t, start in zip(self._tensors, self._starts):
-            if t.name not in names:
-                if bounds and bounds[-1][1] == start:
-                    bounds[-1][1] += t.size
-                else:
-                    bounds.append([start, start + t.size])
-        self.zo_runs = [self.flat[lo:hi] for lo, hi in bounds]
+        order = [t for t in self._tensors if t.name not in names] + self.fo
+        self.flat = np.concatenate([t.data for t in order])
+        k = 0
+        for t in order:
+            t.data = self.flat[k : k + t.size]
+            k += t.size
+        self.zo = self.flat[: self.flat.size - sum(t.size for t in self.fo)]
 
     # subclasses implement:
     def _forward(self, batch):  # -> (loss, cache)

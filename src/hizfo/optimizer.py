@@ -111,7 +111,7 @@ def hizfo_step(
 ) -> StepRecord:
     """One hybrid step over the model's FO/ZO split, as ``assign`` last set it."""
     t0 = time.perf_counter_ns()
-    fo, fo_names, zo_runs = model.fo, model.fo_names, model.zo_runs
+    fo, fo_names, zo = model.fo, model.fo_names, [model.zo]
     updater = fo_updater or FoUpdater(cfg)
     fwd_before, bwd_before = model.tally.forward, model.tally.backward
 
@@ -126,7 +126,7 @@ def hizfo_step(
     seed = step_seed(cfg.master_seed, step_index)
     eps = cfg.epsilon
     update = 0.0  # the ZO update's noise multiple, none if the step aborts
-    add_scaled_noise(zo_runs, seed, +eps)
+    add_scaled_noise(zo, seed, +eps)
     try:
         loss_pert, cache_pert = model.forward_with_cache(batch)
         if cfg.alpha != 0.0 and fo_names:
@@ -140,7 +140,7 @@ def hizfo_step(
         return _diverged(step_index, model, fwd_before, t0, loss_clean, float("nan"))
     finally:
         # restore and update in one pass; the next forward reports an overflow
-        sq = add_scaled_noise(zo_runs, seed, update - eps)
+        sq = add_scaled_noise(zo, seed, update - eps)
     return _record(step_index, loss_clean, loss_pert, loss_clean + cfg.alpha * loss_pert,
                    _grad_norm(grads[name] for name in fo_names), abs(coef) * math.sqrt(sq), bwd,
                    model.tally.forward - fwd_before, t0)
@@ -183,7 +183,9 @@ def baseline_step_mezo(
     """Pure zeroth order: seeded central difference over all parameters.
 
     The step record's ``L_FO`` column holds the midpoint of the two probe
-    losses (no clean pass is run) and ``L_ZO`` stays zero.
+    losses (no clean pass is run) and ``L_ZO`` stays zero. The draw is laid
+    over ``flat`` in its layout order: tensor order on an unsplit model, as
+    every caller runs it, and ZO tensors first on a model that ``assign`` split.
     """
     t0 = time.perf_counter_ns()
     runs = [model.flat]

@@ -72,6 +72,8 @@ class Batch:
             raise ConfigurationError(
                 f"batch size mismatch: inputs {self.inputs.shape[0]} vs targets {self.targets.shape[0]}"
             )
+        if self.inputs.size == 0:
+            raise ConfigurationError(f"empty batch: inputs of shape {self.inputs.shape}")
 
     @property
     def size(self) -> int:

@@ -15,7 +15,6 @@ import numpy as np
 from .datasets import two_moons_batches
 from .models import MLPModel
 from .optimizer import OptimizerConfig, hizfo_step
-from .partition import PartitionPlan, apply_plan
 from .rng import add_scaled_noise, regenerate_noise, step_seed
 from .theory import (
     QuadraticObjective,
@@ -78,24 +77,20 @@ def suite_restore_exactness(fast=False) -> SuiteResult:
     steps = 20 if fast else 200
     model = MLPModel(dims=(2, 16, 2), seed=1)
     batches = two_moons_batches(4, 32, seed=3)
-    names = [t.name for t in model.tensors()]
-    plan = PartitionPlan(names[:2], names[2:], 0.5, 0.0, 0, 0.0)
-    apply_plan(model, plan)
+    model.assign([t.name for t in model.tensors()][:2])
     cfg = OptimizerConfig(eta_fo=0.05, eta_zo=0.005, epsilon=1e-3, master_seed=5)
     eps = cfg.epsilon
-    arrays = model.zo_runs
-    shapes = [a.shape for a in arrays]
+    zo = model.zo
     worst = 0.0
     for s in range(steps):
-        before = [a.copy() for a in arrays]
+        before = zo.copy()
         probe = step_seed(12345, s)
-        us = regenerate_noise(shapes, probe)
-        add_scaled_noise(arrays, probe, +eps)
-        add_scaled_noise(arrays, probe, -eps)
-        for a, b, u in zip(arrays, before, us):
-            denom = np.spacing(np.maximum(np.abs(b), np.abs(b + eps * u)))
-            worst = max(worst, float(np.max(np.abs(a - b) / denom)))
-            a[:] = b  # keep the trajectory clean after probing
+        (u,) = regenerate_noise([zo.shape], probe)
+        add_scaled_noise([zo], probe, +eps)
+        add_scaled_noise([zo], probe, -eps)
+        denom = np.spacing(np.maximum(np.abs(before), np.abs(before + eps * u)))
+        worst = max(worst, float(np.max(np.abs(zo - before) / denom)))
+        zo[:] = before  # keep the trajectory clean after probing
         hizfo_step(model, batches[s % 4], cfg, s)
     return SuiteResult("restore_exactness", worst <= 4.0, f"worst deviation {worst:.2f} ulp (<= 4)")
 

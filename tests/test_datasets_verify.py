@@ -40,9 +40,14 @@ class TestCharCorpus:
         assert vocab.size == 64  # 63 most frequent bytes + OOV id 0
         assert vocab.encode(b"\xff")[0] in range(64)
 
+    @staticmethod
+    def capped(max_size):
+        """ByteVocab with a lower MAX_SIZE, so short corpora reach the cap."""
+        return type("CappedVocab", (ByteVocab,), {"MAX_SIZE": max_size})
+
     def test_rare_bytes_map_to_oov(self):
         data = b"aaaabbbbcccc" + b"\x01"
-        vocab = ByteVocab(data, max_size=4)
+        vocab = self.capped(4)(data)
         ids = vocab.encode(b"abc\x01")
         assert ids[3] == 0 and all(i > 0 for i in ids[:3])
 
@@ -67,7 +72,7 @@ class TestCharCorpus:
         ]
         for data in corpora:
             for max_size in (2, 4, 64):
-                vocab = ByteVocab(data, max_size=max_size)
+                vocab = self.capped(max_size)(data)
                 size, ids = self.reference_ids(data, max_size)
                 assert vocab.size == size
                 assert vocab.encode(bytes(range(256))).tolist() == ids

@@ -316,6 +316,17 @@ class TestDeterminismAndErrors:
         with pytest.raises(ConfigurationError):
             m.forward(Batch(np.zeros((4, 3)), np.zeros(4, dtype=int)))
 
+    @pytest.mark.parametrize("inputs, targets", [
+        (np.zeros((0, 2)), np.zeros(0, dtype=int)),
+        (np.zeros((0, 4), dtype=int), np.zeros((0, 4), dtype=int)),
+        (np.zeros((2, 0), dtype=int), np.zeros((2, 0), dtype=int)),
+    ], ids=["mlp", "lm", "lm-no-positions"])
+    def test_empty_batch_is_configuration_error(self, inputs, targets):
+        # unchecked, the MLP read it as a non-finite loss and the LM raised
+        # a bare numpy error from the token range check
+        with pytest.raises(ConfigurationError, match="empty batch"):
+            Batch(inputs, targets)
+
     def test_overflow_carries_layer_index(self):
         # huge embeddings overflow in the first attention block's score
         # matmul, which squares the magnitudes
@@ -404,25 +415,37 @@ _SMALL = {
 _CLONES = {"deepcopy": copy.deepcopy, "pickle": lambda m: pickle.loads(pickle.dumps(m))}
 
 
+def _layout(m):
+    """Each tensor's name and element offset into ``flat``, in buffer order."""
+    return sorted(((t.data.ctypes.data - m.flat.ctypes.data) // 8, t.name) for t in m.tensors())
+
+
+def _packed(tensors):
+    """The ``_layout`` of `tensors` laid end to end in the given order."""
+    return [(sum(t.size for t in tensors[:i]), t.name) for i, t in enumerate(tensors)]
+
+
 class TestFlatBuffer:
-    """Every tensor's data is a slice of the model's one buffer, and a noise
-    pass over the buffer's runs equals the per-tensor draws bit for bit."""
+    """Every tensor's data is a slice of the model's one buffer, ZO tensors
+    first, and a noise pass over ``zo`` equals the per-tensor draws bit for bit."""
 
     @settings(derandomize=True, database=None, max_examples=100, deadline=None)
     @given(st.sampled_from(sorted(_SMALL)), st.integers(0, 11), st.sampled_from(["fo", "zo", "mixed"]),
            st.integers(0, 2**64 - 1), st.integers(0, 2**64 - 1), st.floats(1e-8, 10.0))
     @example("lm", 1, "zo", 0, 3, 1e-3)
     @example("lm", 1, "fo", 0, 3, 1e-3)
-    def test_runs_equal_per_tensor_noise(self, kind, k, mode, bits, seed, scale):
+    def test_zo_equals_per_tensor_noise(self, kind, k, mode, bits, seed, scale):
         m = _SMALL[kind](k)
         mask = [mode == "zo" or (mode == "mixed" and bool(bits >> i & 1)) for i in range(len(m.tensors()))]
         m.assign(t.name for t, zo in zip(m.tensors(), mask) if not zo)
         before = [t.data.copy() for t in m.tensors()]
         zo = [t for t, z in zip(m.tensors(), mask) if z]
-        runs = m.zo_runs
-        # one run per maximal stretch of adjacent ZO tensors
-        assert len(runs) == sum(z and (i == 0 or not mask[i - 1]) for i, z in enumerate(mask))
-        sq = add_scaled_noise(runs, seed, scale)
+        # the buffer holds the ZO tensors, then the FO ones, each in tensor
+        # order, and zo views exactly the ZO head
+        assert _layout(m) == _packed(zo + m.fo)
+        assert m.zo.base is m.flat and m.zo.ctypes.data == m.flat.ctypes.data
+        assert m.zo.size == sum(t.size for t in zo)
+        sq = add_scaled_noise([m.zo], seed, scale)
         draws = [u.reshape(-1) for u in regenerate_noise([t.shape for t in zo], seed)]
         us = iter(draws)
         for t, b, z in zip(m.tensors(), before, mask):
@@ -439,7 +462,7 @@ class TestFlatBuffer:
         m = {"mlp": lambda: MLPModel(dims=(2, 8, 2), seed=3),
              "lm": lambda: TinyAttentionLM(vocab_size=10, d_model=4, depth=2, context=8, seed=3)}[kind]()
         batch = two_moons_batches(1, 16, seed=0)[0] if kind == "mlp" else lm_batch(vocab=10)
-        m.assign(t.name for i, t in enumerate(m.tensors()) if i % 3 == 0)
+        # unsplit, so both buffers are in tensor order
         c = _CLONES[clone](m)
         for t in c.tensors():
             assert np.shares_memory(t.data, c.flat) and not np.shares_memory(t.data, m.flat), t.name
@@ -448,8 +471,10 @@ class TestFlatBuffer:
         assert np.array_equal(m.flat, original)
         for t, o, u in zip(c.tensors(), m.tensors(), regenerate_noise([t.shape for t in m.tensors()], 11)):
             assert np.array_equal(t.view(), o.view() + 1e-2 * u), t.name
-        # a fresh copy trains like the original, step records and weights alike
+        # a fresh copy of a split model trains like the original, step records and weights alike
+        m.assign(t.name for i, t in enumerate(m.tensors()) if i % 3 == 0)
         c = _CLONES[clone](m)
+        original = m.flat.copy()
         cfg = OptimizerConfig(eta_fo=0.05, eta_zo=0.005, epsilon=1e-3, alpha=0.1, master_seed=2)
         for step in range(3):
             assert hizfo_step(m, batch, cfg, step).L_ZO == hizfo_step(c, batch, cfg, step).L_ZO
@@ -604,7 +629,7 @@ class TestRoleSplit:
 
     @staticmethod
     def _split(m):
-        return m.fo, m.fo_names, m.zo_runs
+        return m.fo, m.fo_names, m.zo, m.flat
 
     def test_split_follows_the_roles(self):
         m = self._model()
@@ -616,14 +641,12 @@ class TestRoleSplit:
         # a re-assign replaces the split: tensor 1 joins the FO set
         fo = [t for i, t in enumerate(m.tensors()) if i % 3 == 0 or i == 1]
         m.assign(reversed([t.name for t in fo]))
-        assert m.zo_runs is not split[2]
+        assert m.zo is not split[2] and m.flat is not split[3]
         assert m.fo == fo and m.fo_names == [t.name for t in fo]
         zo = [t.name not in m.fo_names for t in m.tensors()]
-        # one run per maximal stretch of adjacent ZO tensors, viewing exactly their data
-        assert len(m.zo_runs) == sum(z and (i == 0 or not zo[i - 1]) for i, z in enumerate(zo))
-        for r in m.zo_runs:
-            assert np.shares_memory(r, m.flat)
-            r[:] = np.nan
+        # zo views exactly the ZO tensors' data
+        assert np.shares_memory(m.zo, m.flat)
+        m.zo[:] = np.nan
         for t, z in zip(m.tensors(), zo):
             assert np.isnan(t.data).all() if z else not np.isnan(t.data).any(), t.name
 
@@ -649,14 +672,26 @@ class TestRoleSplit:
     @pytest.mark.parametrize("kind", sorted(_SMALL))
     def test_a_new_model_is_all_fo(self, kind):
         m = _SMALL[kind](3)
-        assert m.fo == m.tensors() and m.fo_names == [t.name for t in m.tensors()] and m.zo_runs == []
+        assert m.fo == m.tensors() and m.fo_names == [t.name for t in m.tensors()] and m.zo.size == 0
+        # so the buffer is in tensor order
+        assert _layout(m) == _packed(m.tensors())
+
+    @pytest.mark.parametrize("kind", sorted(_SMALL))
+    def test_reassign_keeps_every_value_in_a_new_buffer(self, kind):
+        m = _SMALL[kind](5)
+        for fo in ([t.name for t in m.tensors()][1::2], [m.tensors()[0].name], []):
+            old, values = m.flat, [t.data.copy() for t in m.tensors()]
+            m.assign(fo)
+            for t, v in zip(m.tensors(), values):
+                assert np.array_equal(t.data, v), t.name
+                assert np.shares_memory(t.data, m.flat) and not np.shares_memory(t.data, old), t.name
 
     @pytest.mark.parametrize("clone", sorted(_CLONES))
     def test_copy_after_a_step_moves_only_its_own_zo_tensors(self, clone):
         m = self._model()
         fo_names = m.fo_names
         m.assign(t.name for t in m.tensors())
-        size = len(pickle.dumps(m))  # all FO, with no ZO runs
+        size = len(pickle.dumps(m))  # all FO
         m.assign(fo_names)
         batch = lm_batch(vocab=10)
         cfg = OptimizerConfig(eta_fo=0.05, eta_zo=0.005, epsilon=1e-3, alpha=0.1, master_seed=2)
@@ -664,9 +699,8 @@ class TestRoleSplit:
         c = _CLONES[clone](m)
         assert len(pickle.dumps(m)) < size + m.flat.nbytes // 2  # the split's views are not copied
         assert c.fo_names == m.fo_names and all(t is c.tensor(t.name) for t in c.fo)
-        assert len(c.zo_runs) == len(m.zo_runs)
-        for r in c.zo_runs:
-            assert np.shares_memory(r, c.flat) and not np.shares_memory(r, m.flat)
+        assert c.zo.size == m.zo.size and _layout(c) == _layout(m)
+        assert np.shares_memory(c.zo, c.flat) and not np.shares_memory(c.zo, m.flat)
         original = m.flat.copy()
         zo_before = [(t, t.data.copy()) for t in c.tensors() if t.name not in c.fo_names]
         hizfo_step(c, batch, cfg, 1)

@@ -248,48 +248,48 @@ class TestApplyPlan:
         return PartitionPlan(fo, zo, 0.5, 0.0, 0, 0.0)
 
     @staticmethod
-    def runs(m):
-        """Each ZO run as (offset into flat, length)."""
-        return [(r.ctypes.data - m.flat.ctypes.data, r.size) for r in m.zo_runs]
+    def layout(m):
+        """The tensor names in buffer order, and the size of the ZO head."""
+        assert m.zo.ctypes.data == m.flat.ctypes.data
+        return [t.name for t in sorted(m.tensors(), key=lambda t: t.data.ctypes.data)], m.zo.size
 
     def test_roles_assigned(self):
         m = MLPModel(dims=(2, 16, 2), seed=0)
         names = [t.name for t in m.tensors()]
         apply_plan(m, self.plan(names[:1], names[1:]))
         assert m.fo == m.tensors()[:1] and m.fo_names == names[:1]
-        head = m.tensors()[0].data.nbytes
-        assert self.runs(m) == [(head, m.flat.size - m.tensors()[0].size)]
+        assert self.layout(m) == (names[1:] + names[:1], m.flat.size - m.tensors()[0].size)
 
     def test_empty_fo_all_zo(self):
         m = MLPModel(dims=(2, 16, 2), seed=0)
         names = [t.name for t in m.tensors()]
         apply_plan(m, self.plan([], names))
-        assert m.fo == [] and m.fo_names == [] and self.runs(m) == [(0, m.flat.size)]
+        assert m.fo == [] and m.fo_names == [] and self.layout(m) == (names, m.flat.size)
 
     def test_full_fo(self):
         m = MLPModel(dims=(2, 16, 2), seed=0)
         names = [t.name for t in m.tensors()]
         apply_plan(m, self.plan([], names))
         apply_plan(m, self.plan(names, []))
-        assert m.fo == m.tensors() and m.fo_names == names and m.zo_runs == []
+        assert m.fo == m.tensors() and m.fo_names == names and self.layout(m) == (names, 0)
 
     def test_idempotent(self):
         m = MLPModel(dims=(2, 16, 2), seed=0)
         names = [t.name for t in m.tensors()]
         plan = self.plan(names[:2], names[2:])
         apply_plan(m, plan)
-        fo, fo_names, runs = list(m.fo), list(m.fo_names), self.runs(m)
+        fo, fo_names, layout = list(m.fo), list(m.fo_names), self.layout(m)
         apply_plan(m, plan)
-        assert (m.fo, m.fo_names, self.runs(m)) == (fo, fo_names, runs)
+        assert (m.fo, m.fo_names, self.layout(m)) == (fo, fo_names, layout)
 
     def rejected(self, m, plan, match=None):
         """The plan is rejected and the model's split is left as it was."""
         names = [t.name for t in m.tensors()]
         apply_plan(m, self.plan(names[1:2], names[:1] + names[2:]))
-        split = (m.fo, m.fo_names, m.zo_runs)
+        split = (m.fo, m.fo_names, m.zo, m.flat)
         with pytest.raises(ConfigurationError, match=match):
             apply_plan(m, plan)
-        assert all(a is b for a, b in zip((m.fo, m.fo_names, m.zo_runs), split))
+        assert all(a is b for a, b in zip((m.fo, m.fo_names, m.zo, m.flat), split))
 
     def test_unknown_tensor_rejected(self):
         m = MLPModel(dims=(2, 16, 2), seed=0)
