@@ -15,7 +15,9 @@ import math
 import os
 import statistics
 import sys
+from dataclasses import fields
 from multiprocessing import Pool
+from operator import attrgetter
 from pathlib import Path
 
 from .config import (
@@ -38,15 +40,10 @@ from .verify import verify_all
 SWEEP_AXES = ("rho", "r", "alpha")
 SWEEP_SEEDS = 5
 
-STEP_CSV_COLUMNS = (
-    "step", "L_FO", "L_ZO", "L_total", "fo_grad_norm", "zo_est_norm",
-    "bwd_flops", "fwd_flops", "wall_ns",
-)
-
-
-def _step_row(r: StepRecord) -> tuple:
-    return (r.step, r.L_FO, r.L_ZO, r.L_total, r.fo_grad_norm, r.zo_estimate_norm,
-            r.backward_flops, r.forward_flops, r.wall_ns)
+# steps.csv: every StepRecord field but `diverged`, in field order, three under short names
+_STEP_FIELDS = tuple(f.name for f in fields(StepRecord) if f.name != "diverged")
+_SHORT_NAMES = {"zo_estimate_norm": "zo_est_norm", "backward_flops": "bwd_flops", "forward_flops": "fwd_flops"}
+STEP_CSV_COLUMNS = tuple(_SHORT_NAMES.get(n, n) for n in _STEP_FIELDS)
 
 
 # every artifact goes through these two writers: JSON with sorted keys, an
@@ -115,7 +112,7 @@ def cmd_train(cfg: ExperimentConfig, out: Path) -> int:
     out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "plan.json", plan.to_dict())
     _write_json(out / "report.json", report.to_dict())
-    _write_csv(out / "steps.csv", STEP_CSV_COLUMNS, map(_step_row, report.records))
+    _write_csv(out / "steps.csv", STEP_CSV_COLUMNS, map(attrgetter(*_STEP_FIELDS), report.records))
     (out / "config.txt").write_text(serialize_config(cfg))
     print(
         f"{cfg.algorithm}: {report.steps_run} steps, final eval loss "

@@ -25,10 +25,8 @@ def two_moons(n: int, noise: float = 0.15, seed: int = 0) -> tuple[np.ndarray, n
 
 def two_moons_batches(n_batches: int, batch_size: int, noise: float = 0.15, seed: int = 0) -> list[Batch]:
     x, y = two_moons(n_batches * batch_size, noise=noise, seed=seed)
-    return [
-        Batch(x[i * batch_size : (i + 1) * batch_size], y[i * batch_size : (i + 1) * batch_size])
-        for i in range(n_batches)
-    ]
+    xs, ys = x.reshape(n_batches, batch_size, 2), y.reshape(n_batches, batch_size)
+    return [Batch(xb, yb) for xb, yb in zip(xs, ys)]
 
 
 class ByteVocab:

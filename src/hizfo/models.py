@@ -130,6 +130,8 @@ class LayeredModel:
             for t in layer.tensors:
                 t.layer_index = i
                 self._tensors.append(t)
+        if not self._tensors:
+            raise ConfigurationError(f"a {self.kind} model needs at least one parameter tensor")
         self._by_name = {t.name: t for t in self._tensors}
         self.assign(self._by_name)
 
@@ -560,8 +562,8 @@ class TinyAttentionLM(_SequentialModel):
         super().__init__()
         if vocab_size > 64:
             raise ConfigurationError("vocab_size is capped at 64")
-        if depth > 4:
-            raise ConfigurationError("depth is capped at 4")
+        if not 0 <= depth <= 4:
+            raise ConfigurationError(f"depth must be in [0, 4], got {depth}")
         self.vocab_size = int(vocab_size)
         self.d_model = int(d_model)
         self.depth = int(depth)

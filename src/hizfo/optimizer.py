@@ -151,19 +151,22 @@ def baseline_step_full_fo(
     fo_updater: FoUpdater | None = None,
 ) -> StepRecord:
     """Plain full backprop on every tensor; ZO fields stay zero."""
-    return _fo_step(model, batch, cfg, step_index, fo_updater, model.tensors())
+    tensors = model.tensors()
+    return _fo_step(model, batch, cfg, step_index, fo_updater, tensors, [t.name for t in tensors])
 
 
 def baseline_step_frozen_subset(
     model: LayeredModel, batch: Batch, cfg: OptimizerConfig, plan: PartitionPlan,
     step_index: int = 0, fo_updater: FoUpdater | None = None,
 ) -> StepRecord:
-    """First-order updates on the plan's FO set; everything else untouched."""
-    return _fo_step(model, batch, cfg, step_index, fo_updater, [model.tensor(n) for n in plan.fo_set])
+    """First-order updates on the model's FO set, after applying `plan` if the model does not hold it."""
+    if set(plan.fo_set) != set(model.fo_names):
+        apply_plan(model, plan)
+    return _fo_step(model, batch, cfg, step_index, fo_updater, model.fo, model.fo_names)
 
 
-def _fo_step(model, batch, cfg, step_index, fo_updater, tensors) -> StepRecord:
-    """First-order update of `tensors` from one truncated backward."""
+def _fo_step(model, batch, cfg, step_index, fo_updater, tensors, names) -> StepRecord:
+    """First-order update of `tensors`, called `names`, from one truncated backward."""
     t0 = time.perf_counter_ns()
     updater = fo_updater or FoUpdater(cfg)
     fwd_before, bwd_before = model.tally.forward, model.tally.backward
@@ -171,7 +174,7 @@ def _fo_step(model, batch, cfg, step_index, fo_updater, tensors) -> StepRecord:
         loss, cache = model.forward_with_cache(batch)
     except NumericOverflowError:
         return _diverged(step_index, model, fwd_before, t0)
-    grads = model.backward_from_cache(batch, cache, [t.name for t in tensors])
+    grads = model.backward_from_cache(batch, cache, names)
     updater.apply(tensors, grads)
     return _record(step_index, loss, 0.0, loss, _grad_norm(grads.values()), 0.0,
                    model.tally.backward - bwd_before, model.tally.forward - fwd_before, t0)

@@ -68,9 +68,9 @@ class Batch:
     def __post_init__(self):
         self.inputs = np.asarray(self.inputs)
         self.targets = np.asarray(self.targets)
-        if self.inputs.shape[0] != self.targets.shape[0]:
+        if min(self.inputs.ndim, self.targets.ndim) < 1 or self.inputs.shape[0] != self.targets.shape[0]:
             raise ConfigurationError(
-                f"batch size mismatch: inputs {self.inputs.shape[0]} vs targets {self.targets.shape[0]}"
+                f"batch size mismatch: inputs {self.inputs.shape} vs targets {self.targets.shape}"
             )
         if self.inputs.size == 0:
             raise ConfigurationError(f"empty batch: inputs of shape {self.inputs.shape}")

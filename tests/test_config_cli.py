@@ -241,6 +241,18 @@ class TestCli:
         cfg = self.write_cfg(tmp_path, text)
         assert self.run_cli("train", "--config", str(cfg)) == 2
 
+    @pytest.mark.parametrize("algorithm", ["hizfo", "full_fo"])
+    def test_diverged_steps_csv_has_a_row_per_record(self, tmp_path, algorithm):
+        text = with_value(MLP_CFG.format(out=tmp_path / "out"), "optimizer", "eta_fo", "1e308")
+        cfg = self.write_cfg(tmp_path, with_value(text, "optimizer", "algorithm", algorithm))
+        assert self.run_cli("train", "--config", str(cfg)) == 2
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        with open(tmp_path / "out" / "steps.csv", newline="") as f:
+            rows = list(csv.reader(f))
+        assert "diverged" not in rows[0]
+        assert len(rows) == 1 + report["steps_run"]
+        assert rows[-1][rows[0].index("L_total")] == "nan"  # the record of the aborted step
+
     def test_diverged_report_is_strict_json(self, tmp_path, capsys):
         text = with_value(MLP_CFG.format(out=tmp_path / "out"), "optimizer", "eta_fo", "1e308")
         cfg = self.write_cfg(tmp_path, with_value(text, "optimizer", "algorithm", "full_fo"))

@@ -3,12 +3,14 @@ import csv
 import numpy as np
 import pytest
 
+from hizfo import importance
 from hizfo.cli import _profile, main
 from hizfo.config import load_config
 from hizfo.importance import estimate_importance
-from hizfo.models import MLPModel, QuadraticModel, full_gradient
-from hizfo.datasets import two_moons_batches
+from hizfo.models import MLPModel, QuadraticModel, TinyAttentionLM, full_gradient
+from hizfo.datasets import CharCorpus, two_moons_batches
 from hizfo.tensors import ConfigurationError
+from test_acceptance import synth_text
 
 
 def quadratic_two_blocks(c0=10.0, c1=0.1, theta0=1.0):
@@ -116,3 +118,86 @@ class TestProtocol:
         assert {r["tensor"]: float(r["normalized_importance"]) for r in rows} == prof.scores
         assert {r["tensor"]: float(r["raw_importance"]) for r in rows} == prof.raw_scores
         assert {r["tensor"]: int(r["layer_index"]) for r in rows} == prof.layer_index
+
+
+# The score claims the first-order loss rise from undoing each tensor's last
+# warm-up update. The check measures that rise as the central difference
+# (L(theta - d) - L(theta + d)) / 2 at the post-warm-up weights, d the
+# tensor's last update, whose error is third order in d: 2N + 1 forward
+# passes. A one-sided rise errs by about as much as a pre-update gradient
+# does, so no bound would tell them apart. (model, batches, warm-up steps),
+# both at a warm-up rate of 1e-3: the mlp_moons_train MLP and criterion 10's LM.
+_CORPUS = CharCorpus(synth_text(), context=16)
+_SCORE_SETUPS = {
+    "mlp": lambda s: (MLPModel(dims=(2, 16, 2), seed=s), two_moons_batches(8, 64, noise=0.2, seed=s), 5),
+    "lm": lambda s: (TinyAttentionLM(_CORPUS.vocab.size, d_model=16, depth=2, context=16, seed=s),
+                     _CORPUS.batches(8, 8, seed=s), 3),
+}
+UNDO_RISE_RTOL = 1e-4
+
+
+def measured_undo_rise(model, batches, steps, lr=1e-3):
+    """Replay the warm-up, then measure each tensor's central-difference rise."""
+    last = {}
+    for s in range(steps):
+        batch = batches[s % len(batches)]
+        grads = full_gradient(model, batch)
+        for t in model.tensors():
+            last[t.name] = -lr * grads[t.name]
+            t.data += last[t.name]
+    rise = {}
+    for t in model.tensors():
+        post = t.data.copy()
+        t.data[:] = post - last[t.name]
+        undone = model.forward(batch)
+        t.data[:] = post + last[t.name]
+        redone = model.forward(batch)
+        t.data[:] = post
+        rise[t.name] = (undone - redone) / 2
+    return rise
+
+
+def worst_score_error(kind, seed, fault=None):
+    """The largest relative error of a raw score against its measured rise."""
+    model, batches, steps = _SCORE_SETUPS[kind](seed)
+    raw = estimate_importance(model, batches, warmup_steps=steps, warmup_lr=1e-3).raw_scores
+    if fault is not None:
+        raw = fault(model, batches, steps, raw)
+    rise = measured_undo_rise(model, batches, steps)
+    return max(abs(raw[n] - rise[n]) / abs(rise[n]) for n in rise)
+
+
+def _pre_update_gradient(model, batches, steps, raw):
+    """Score again with the last full_gradient call returning the one before it."""
+    seen = []
+
+    def stale(m, b):
+        seen.append(real(m, b))
+        return seen[-2] if len(seen) == steps + 1 else seen[-1]
+
+    real, importance.full_gradient = importance.full_gradient, stale
+    try:
+        return estimate_importance(model, batches, warmup_steps=steps, warmup_lr=1e-3).raw_scores
+    finally:
+        importance.full_gradient = real
+
+
+_FAULTS = {
+    "pre_update_gradient": _pre_update_gradient,
+    "sign_flip": lambda model, batches, steps, raw: {n: -v for n, v in raw.items()},
+    "divided_by_size": lambda model, batches, steps, raw: {n: v / model.tensor(n).size for n, v in raw.items()},
+}
+
+
+class TestScoreIsTheUndoRise:
+    @pytest.mark.parametrize("kind", sorted(_SCORE_SETUPS))
+    def test_raw_score_matches_the_measured_undo_rise(self, kind):
+        for seed in range(5):
+            assert worst_score_error(kind, seed) <= UNDO_RISE_RTOL, (kind, seed)
+
+    @pytest.mark.parametrize("fault", sorted(_FAULTS))
+    @pytest.mark.parametrize("kind", sorted(_SCORE_SETUPS))
+    def test_each_injected_fault_fails_the_check(self, kind, fault):
+        # the check can fail: every seed's worst error is above the bound
+        for seed in range(5):
+            assert worst_score_error(kind, seed, _FAULTS[fault]) > UNDO_RISE_RTOL, (kind, fault, seed)

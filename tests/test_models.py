@@ -405,6 +405,19 @@ class TestDeterminismAndErrors:
             TinyAttentionLM(vocab_size=65)
         with pytest.raises(ConfigurationError):
             TinyAttentionLM(depth=5)
+        with pytest.raises(ConfigurationError, match="depth must be in"):
+            TinyAttentionLM(depth=-1)  # once built a model with no blocks
+        assert [t.name for t in TinyAttentionLM(depth=0).tensors()] == ["head.weight", "embed.token", "embed.position"]
+
+    @pytest.mark.parametrize("build", [
+        lambda: MLPModel(dims=(2,)),
+        lambda: MLPModel(dims=()),
+        lambda: QuadraticModel(blocks=()),
+    ], ids=["mlp_one_dim", "mlp_no_dims", "quadratic_no_blocks"])
+    def test_model_without_tensors_is_configuration_error(self, build):
+        # these once raised numpy's bare ValueError from the buffer layout
+        with pytest.raises(ConfigurationError, match="at least one parameter tensor"):
+            build()
 
 
 _SMALL = {

@@ -5,19 +5,20 @@ import os
 import subprocess
 import sys
 import warnings
-from dataclasses import astuple
+from dataclasses import astuple, fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from hizfo import optimizer
+from hizfo import cli, optimizer
+from hizfo.config import default_config
 from hizfo.datasets import two_moons_batches
 from hizfo.models import MLPModel, QuadraticModel, TinyAttentionLM, backward_truncated
-from hizfo.cli import STEP_CSV_COLUMNS, _step_row, _write_csv
 from hizfo.optimizer import (
     FoUpdater,
     OptimizerConfig,
+    StepRecord,
     baseline_step_frozen_subset,
     baseline_step_full_fo,
     baseline_step_mezo,
@@ -314,6 +315,37 @@ class TestBaselines:
         for a, b in zip(m1.tensors(), m2.tensors()):
             assert np.array_equal(a.data, b.data)
 
+    @pytest.mark.parametrize("held", ["all_fo", "other_split"])
+    def test_frozen_subset_applies_a_plan_the_model_does_not_hold(self, held):
+        m = MLPModel(dims=(2, 16, 2), seed=1)
+        names = [t.name for t in m.tensors()]
+        if held == "other_split":
+            m.assign(names[2:])
+        plan = PartitionPlan(names[:2], names[2:], 0.5, 0.0, 0, 0.0)
+        batch = two_moons_batches(1, 32, seed=3)[0]
+        cfg = OptimizerConfig(**CFG)
+        before = {n: m.tensor(n).data.copy() for n in names}
+        # the oracle: one truncated backward over the plan's FO set, then SGD
+        grads = backward_truncated(MLPModel(dims=(2, 16, 2), seed=1), batch, plan.fo_set)
+        rec = baseline_step_frozen_subset(m, batch, cfg, plan)
+        assert m.fo_names == plan.fo_set
+        for n in names:
+            want = before[n] - cfg.eta_fo * grads[n] if n in plan.fo_set else before[n]
+            assert np.array_equal(m.tensor(n).data, want), n
+        assert rec.fo_grad_norm == math.sqrt(sum(float(g @ g) for g in grads.values()))
+        assert rec.backward_flops == m.cost_model(batch.size).subset_backward_flops(plan.fo_set)
+
+    @pytest.mark.parametrize("order", ["tensor_order", "reversed"])
+    def test_frozen_subset_keeps_the_layout_of_a_held_plan(self, order):
+        m, plan = mlp_with_split()
+        if order == "reversed":  # the same sets, listed in another order
+            plan = PartitionPlan(plan.fo_set[::-1], plan.zo_set[::-1], 0.5, 0.0, 0, 0.0)
+        flat, fo = m.flat, m.fo
+        batch = two_moons_batches(1, 32, seed=3)[0]
+        for s in range(3):
+            baseline_step_frozen_subset(m, batch, OptimizerConfig(**CFG), plan, s)
+        assert m.flat is flat and m.fo is fo
+
     def test_mezo_quadratic_central_difference_is_exact(self, force_noise):
         m = one_d_quadratic()
         cfg = OptimizerConfig(eta_fo=0.1, eta_zo=1e-4, epsilon=1e-3, master_seed=0)
@@ -594,17 +626,22 @@ class TestTrain:
         fo_elems = sum(m.tensor(n).size for n in plan.fo_set)
         assert report.memory_proxy == {"tape_params": fo_elems}
 
-    def test_step_csv_contract(self, tmp_path):
+    def test_step_csv_contract(self, tmp_path, monkeypatch):
+        # `hizfo train` writes every StepRecord field but `diverged`, in field
+        # order and three under short names, one row per record
         m, plan = mlp_with_split()
         cfg = OptimizerConfig(max_steps=3, **CFG)
         report = train(m, two_moons_batches(1, 16, seed=0), cfg, plan, "hizfo")
-        path = tmp_path / "steps.csv"
-        _write_csv(path, STEP_CSV_COLUMNS, map(_step_row, report.records))
-        with open(path) as f:
+        monkeypatch.setattr(cli, "_run", lambda _: (plan, report))
+        assert cli.cmd_train(default_config(), tmp_path) == 0
+        with open(tmp_path / "steps.csv", newline="") as f:
             rows = list(csv.reader(f))
-        assert rows[0] == list(STEP_CSV_COLUMNS)
+        names = [f.name for f in fields(StepRecord) if f.name != "diverged"]
+        short = {"zo_estimate_norm": "zo_est_norm", "backward_flops": "bwd_flops", "forward_flops": "fwd_flops"}
+        assert rows[0] == list(cli.STEP_CSV_COLUMNS) == [short.get(n, n) for n in names]
         assert len(rows) == 4
-        assert float(rows[1][3]) == report.records[0].L_total
+        for row, rec in zip(rows[1:], report.records):
+            assert row == [str(getattr(rec, n)) for n in names]
 
 
 class TestConfigValidation:

@@ -112,6 +112,15 @@ class TestParamTensor:
         with pytest.raises(ConfigurationError):
             Batch(np.zeros((3, 2)), np.zeros(4))
 
+    def test_zero_d_batch_is_configuration_error(self):
+        # a 0-d array has no batch dimension; this once raised a bare IndexError
+        with pytest.raises(ConfigurationError, match=r"inputs \(\) vs targets \(\)"):
+            Batch(np.float64(1.0), np.int64(1))
+
+    def test_zero_d_targets_is_configuration_error(self):
+        with pytest.raises(ConfigurationError, match=r"inputs \(2, 2\) vs targets \(\)"):
+            Batch(np.zeros((2, 2)), np.int64(1))
+
 
 class TestNumericOverflowError:
     def test_pickle_roundtrip(self):
