@@ -14,7 +14,6 @@ import numpy as np
 from hizfo import (
     QuadraticObjective,
     QuarticObjective,
-    TheoryRunSpec,
     estimator_mean,
     estimator_second_moment,
     rate_experiment,
@@ -49,7 +48,7 @@ for d in (4, 16, 64):
     print(f"   d={d:>3}: measured {m2:>10.1f}  bound {bound:>10.1f}")
 
 print("\n4) convergence-rate scan (eta = 1/sqrt(T), mu = 1/sqrt(d_zo T))")
-result = rate_experiment(TheoryRunSpec(seed=1))
+result = rate_experiment(1)
 print(f"   {'T':>6} {'min |grad|^2':>14}")
 for T, v, diverged in result.rows:
     print(f"   {T:>6} {v:>14.3e}{'  (diverged)' if diverged else ''}")

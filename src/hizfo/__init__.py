@@ -42,13 +42,12 @@ from .partition import (
     full_fo_plan,
     solve_dp,
 )
-from .rng import add_scaled_noise, noise_generator, regenerate_noise, splitmix64, step_seed
+from .rng import add_scaled_noise, regenerate_noise, splitmix64, step_seed
 from .tensors import Batch, ConfigurationError, NumericOverflowError, ParamTensor
 from .theory import (
     QuadraticObjective,
     QuarticObjective,
     RateResult,
-    TheoryRunSpec,
     estimator_bias_sq,
     estimator_mean,
     estimator_second_moment,

@@ -88,7 +88,7 @@ def cmd_profile(cfg: ExperimentConfig, out: Path) -> int:
     _write_csv(
         out / "importance.csv",
         ("tensor", "layer_index", "raw_importance", "normalized_importance"),
-        ((n, profile.layer_index.get(n, 0), profile.raw_scores[n], s) for n, s in profile.scores.items()),
+        ((e.name, e.layer_index, profile.raw_scores[e.name], profile.scores[e.name]) for e in cost.entries),
     )
     _write_json(out / "cost_model.json", cost.to_dict())
     print(f"wrote {out / 'importance.csv'} and {out / 'cost_model.json'}")

@@ -10,7 +10,7 @@ raw score so downstream selection works on a [-1, 1] scale.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,21 +22,9 @@ from .tensors import ConfigurationError
 class ImportanceProfile:
     scores: dict[str, float]
     raw_scores: dict[str, float]
-    warmup_steps: int
-    normalizer: float
-    layer_index: dict[str, int] = field(default_factory=dict)
-
-    def ranked(self) -> list[str]:
-        """Names by descending score; ties go to the output-nearest layer."""
-        return sorted(self.scores, key=lambda n: (-self.scores[n], self.layer_index.get(n, 0)))
 
 
-def estimate_importance(
-    model: LayeredModel,
-    data,
-    warmup_steps: int = 5,
-    warmup_lr: float = 1e-2,
-) -> ImportanceProfile:
+def estimate_importance(model: LayeredModel, data, warmup_steps: int, warmup_lr: float) -> ImportanceProfile:
     """Run a few plain gradient-descent steps and score each tensor.
 
     The model's parameters are restored bit-for-bit before returning, so
@@ -75,10 +63,4 @@ def estimate_importance(
         scores = {n: 0.0 for n in names}
     else:
         scores = {n: raw[n] / normalizer for n in names}
-    return ImportanceProfile(
-        scores=scores,
-        raw_scores=raw,
-        warmup_steps=warmup_steps,
-        normalizer=normalizer,
-        layer_index={t.name: t.layer_index for t in tensors},
-    )
+    return ImportanceProfile(scores=scores, raw_scores=raw)

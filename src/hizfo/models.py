@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -102,6 +103,14 @@ def _row_max(x):
     return np.maximum.reduce(x.reshape(-1, x.shape[-1]).T.copy()).reshape(x.shape[:-1] + (1,))
 
 
+def _size(name, value) -> int:
+    """A model size as an int: a float, even an integral one, is rejected, not truncated."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ConfigurationError(f"{name} must be an integer, got {value!r}") from None
+
+
 def _init_dense(rng, fan_in, fan_out):
     scale = 1.0 / np.sqrt(fan_in)
     return rng.uniform(-scale, scale, size=(fan_in, fan_out))
@@ -146,12 +155,6 @@ class LayeredModel:
 
     def tensors(self) -> list[ParamTensor]:
         return self._tensors
-
-    def tensor(self, name: str) -> ParamTensor:
-        try:
-            return self._by_name[name]
-        except KeyError:
-            raise ConfigurationError(f"unknown tensor {name!r}") from None
 
     def assign(self, fo_names) -> None:
         """Make the named tensors the FO set and every other tensor ZO: sets
@@ -239,7 +242,7 @@ class QuadraticModel(LayeredModel):
         self.targets = []
         layers = []
         for i, (dim, curvature, target) in enumerate(blocks):
-            dim = int(dim)
+            dim = _size(f"block{i} size", dim)
             init = rng.uniform(-1.0, 1.0, size=dim)
             layers.append(_AnalyticLayer([ParamTensor(f"block{i}", (dim,), init)]))
             self.curvatures.append(np.broadcast_to(np.asarray(curvature, float), (dim,)))
@@ -379,7 +382,7 @@ class MLPModel(_SequentialModel):
 
     def __init__(self, dims=(2, 16, 2), seed=0):
         super().__init__()
-        self.dims = tuple(int(d) for d in dims)
+        self.dims = tuple(_size("dims", d) for d in dims)
         rng = np.random.default_rng(seed)
         n = len(self.dims) - 1
         forward_layers = []
@@ -560,14 +563,14 @@ class TinyAttentionLM(_SequentialModel):
 
     def __init__(self, vocab_size=64, d_model=16, depth=2, context=16, seed=0):
         super().__init__()
-        if vocab_size > 64:
+        self.vocab_size = _size("vocab_size", vocab_size)
+        self.d_model = _size("d_model", d_model)
+        self.depth = _size("depth", depth)
+        self.context = _size("context", context)
+        if self.vocab_size > 64:
             raise ConfigurationError("vocab_size is capped at 64")
-        if not 0 <= depth <= 4:
+        if not 0 <= self.depth <= 4:
             raise ConfigurationError(f"depth must be in [0, 4], got {depth}")
-        self.vocab_size = int(vocab_size)
-        self.d_model = int(d_model)
-        self.depth = int(depth)
-        self.context = int(context)
         rng = np.random.default_rng(seed)
         embed = _EmbeddingLayer(self.vocab_size, self.context, self.d_model, rng)
         blocks = [_AttentionBlock(f"block{i}", self.d_model, rng) for i in range(self.depth)]

@@ -36,11 +36,6 @@ def step_seed(master_seed: int, step_index: int) -> int:
     return splitmix64((master_seed & _MASK64) ^ splitmix64(step_index & _MASK64))
 
 
-def noise_generator(seed: int) -> np.random.Generator:
-    """Fresh counter-based generator for one perturbation stream."""
-    return np.random.Generator(np.random.Philox(key=seed & _MASK64))
-
-
 # add_scaled_noise resets this generator to the seed's stream on every call,
 # as building a Philox first seeds it from OS entropy. Not thread-safe.
 _GEN = np.random.Generator(np.random.Philox(key=0))
@@ -59,7 +54,7 @@ def add_scaled_noise(arrays, seed: int, scale: float) -> float:
     Returns u @ u, one dot over the whole draw, for noise and estimate norms.
     """
     _START["state"]["key"][0] = seed & _MASK64
-    _GEN.bit_generator.state = _START  # the stream of noise_generator(seed)
+    _GEN.bit_generator.state = _START  # the stream of a fresh Philox keyed by seed
     u = _GEN.standard_normal(sum(a.size for a in arrays))
     sq = float(u @ u)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -72,6 +67,7 @@ def add_scaled_noise(arrays, seed: int, scale: float) -> float:
 
 
 def regenerate_noise(shapes, seed: int) -> list[np.ndarray]:
-    """Materialize the noise vectors for the given shapes (test/replay aid)."""
-    gen = noise_generator(seed)
+    """Materialize the noise vectors for the given shapes (test/replay aid),
+    from a fresh Philox keyed by seed, independent of the one add_scaled_noise resets."""
+    gen = np.random.Generator(np.random.Philox(key=seed & _MASK64))
     return [gen.standard_normal(int(np.prod(s))).reshape(s) for s in shapes]

@@ -28,11 +28,12 @@ class ParamTensor:
     """A named flat array of float64 parameters.
 
     layer_index counts from the model output: the output-nearest layer is 0.
+    The model that registers the tensor sets it.
     """
 
     __slots__ = ("name", "shape", "data", "layer_index")
 
-    def __init__(self, name, shape, data, layer_index=0):
+    def __init__(self, name, shape, data):
         shape = tuple(int(s) for s in shape)
         if any(s <= 0 for s in shape):
             raise ConfigurationError(f"tensor {name!r}: non-positive dimension in {shape}")
@@ -44,7 +45,7 @@ class ParamTensor:
         self.name = str(name)
         self.shape = shape
         self.data = data
-        self.layer_index = int(layer_index)
+        self.layer_index = 0
 
     @property
     def size(self) -> int:

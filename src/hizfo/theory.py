@@ -8,10 +8,11 @@ vectorized copy of the forward-difference formula the step applies:
 
     g_hat = (f(theta + mu * u) - f(theta)) / mu * u,   u ~ N(0, I)
 
-restricted to the ZO block. Bias measurements subtract the analytic
-control variate (grad . u) u, whose expectation is exactly the gradient;
-this removes the O(||grad||) sampling noise that would otherwise swamp
-the O(mu^2) bias signal at small mu.
+restricted to the ZO block; ``verify.suite_step_estimator`` checks that
+the step moves by exactly this estimate. Bias measurements subtract the
+analytic control variate (grad . u) u, whose expectation is exactly the
+gradient; this removes the O(||grad||) sampling noise that would
+otherwise swamp the O(mu^2) bias signal at small mu.
 """
 
 from __future__ import annotations
@@ -24,21 +25,10 @@ from .models import QuadraticModel
 from .optimizer import OptimizerConfig, hizfo_step
 from .rng import step_seed
 
-
-@dataclass
-class TheoryRunSpec:
-    d_zo: int = 16
-    d_fo: int = 4
-    sigma_fo: float = 0.5        # gradient noise scale of every coordinate
-    gap0: float = 50.0           # initial optimality gap f(theta_0) - f*
-    seed: int = 0
-
-    def curvatures(self) -> np.ndarray:
-        """Curvatures from 0.1 to 1.0, so the smoothness constant is 1."""
-        d = self.d_zo + self.d_fo
-        if d < 2:
-            return np.full(d, 1.0)
-        return np.geomspace(0.1, 1.0, d)
+# The rate experiment's noisy quadratic: a ZO block of D_ZO coordinates, an
+# FO block of D_FO, every coordinate's gradient noise of scale SIGMA_FO and
+# an initial optimality gap f(theta_0) - f* of GAP0.
+D_ZO, D_FO, SIGMA_FO, GAP0 = 16, 4, 0.5, 50.0
 
 
 class QuadraticObjective:
@@ -114,29 +104,27 @@ class RateResult:
     intercept: float = 0.0
 
 
-def hybrid_run_min_grad_sq(spec: TheoryRunSpec, T: int) -> tuple[float, bool]:
+def hybrid_run_min_grad_sq(seed: int, T: int) -> tuple[float, bool]:
     """Run T steps of ``hizfo_step`` on the noisy quadratic; return
     (min_t ||grad f(theta_t)||^2, diverged).
 
-    The first d_zo coordinates form the ZO tensor, the rest the FO tensor.
-    Before each step the targets move to a fresh offset sigma_fo * xi / c,
-    so every coordinate's gradient carries N(0, sigma_fo^2) noise; the
-    tracked gradient is the true one of the mean objective, c * theta.
+    block0 holds the first D_ZO coordinates and is the ZO tensor, block1 the
+    rest and the FO tensor. The curvatures run from 0.1 to 1.0, so the
+    smoothness constant is 1. Before each step the targets move to a fresh
+    offset SIGMA_FO * xi / c, so every coordinate's gradient carries
+    N(0, SIGMA_FO^2) noise; the tracked gradient is the true one of the mean
+    objective, c * theta.
     """
-    c = spec.curvatures()
-    parts = [(lo, hi) for lo, hi in ((0, spec.d_zo), (spec.d_zo, c.size)) if hi > lo]
-    model = QuadraticModel([(hi - lo, c[lo:hi], 0.0) for lo, hi in parts])
-    rng = np.random.default_rng(step_seed(spec.seed, T))
+    c = np.geomspace(0.1, 1.0, D_ZO + D_FO)
+    model = QuadraticModel([(D_ZO, c[:D_ZO], 0.0), (D_FO, c[D_ZO:], 0.0)])
+    rng = np.random.default_rng(step_seed(seed, T))
     theta = rng.standard_normal(c.size)
-    # scale the start so f(theta_0) equals the requested optimality gap
-    f0 = QuadraticObjective(c).value(theta)
-    if f0 > 0:
-        theta *= np.sqrt(spec.gap0 / f0)
-    model.flat[:] = theta  # the tensors lie in part order
-    model.assign(t.name for t, (lo, _) in zip(model.tensors(), parts) if lo == spec.d_zo)
+    theta *= np.sqrt(GAP0 / QuadraticObjective(c).value(theta))  # f(theta_0) - f* = GAP0
+    model.flat[:] = theta  # the tensors lie in block order
+    model.assign(["block1"])
     eta = 1.0 / np.sqrt(T)
-    cfg = OptimizerConfig(eta_fo=eta, eta_zo=eta, epsilon=1.0 / np.sqrt(max(spec.d_zo, 1) * T),
-                          alpha=0.0, master_seed=spec.seed)
+    cfg = OptimizerConfig(eta_fo=eta, eta_zo=eta, epsilon=1.0 / np.sqrt(D_ZO * T),
+                          alpha=0.0, master_seed=seed)
     batch = model.dummy_batch()
     best = np.inf
     for step in range(T):
@@ -144,19 +132,18 @@ def hybrid_run_min_grad_sq(spec: TheoryRunSpec, T: int) -> tuple[float, bool]:
         best = min(best, float(g @ g))
         if not np.isfinite(best):
             return float("inf"), True
-        offset = spec.sigma_fo * rng.standard_normal(c.size) / c
-        for tgt, (lo, hi) in zip(model.targets, parts):
-            tgt[:] = offset[lo:hi]
+        offset = SIGMA_FO * rng.standard_normal(c.size) / c
+        model.targets[0][:], model.targets[1][:] = offset[:D_ZO], offset[D_ZO:]
         if hizfo_step(model, batch, cfg, step).diverged:
             return float("inf"), True
     return best, False
 
 
-def rate_experiment(spec: TheoryRunSpec, T_grid=(100, 316, 1000, 3162, 10000)) -> RateResult:
+def rate_experiment(seed: int, T_grid=(100, 316, 1000, 3162, 10000)) -> RateResult:
     """min ||grad||^2 against the step budget, with a log-log OLS fit."""
     rows = []
     for T in T_grid:
-        v, div = hybrid_run_min_grad_sq(spec, int(T))
+        v, div = hybrid_run_min_grad_sq(seed, int(T))
         rows.append((int(T), v, div))
     good = [(T, v) for T, v, div in rows if not div and v > 0]
     slope, intercept = 0.0, 0.0

@@ -13,15 +13,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datasets import two_moons_batches
-from .models import MLPModel
+from .models import MLPModel, QuadraticModel
 from .optimizer import OptimizerConfig, hizfo_step
 from .rng import add_scaled_noise, regenerate_noise, step_seed
 from .theory import (
     QuadraticObjective,
     QuarticObjective,
-    TheoryRunSpec,
     estimator_bias_sq,
     estimator_mean,
+    forward_differences,
     rate_experiment,
     second_moment_check,
 )
@@ -67,7 +67,7 @@ def suite_second_moment(fast=False) -> SuiteResult:
 
 def suite_rate_band(fast=False) -> SuiteResult:
     grid = (100, 316, 1000, 3162) if fast else (100, 316, 1000, 3162, 10000)
-    res = rate_experiment(TheoryRunSpec(seed=1), T_grid=grid)
+    res = rate_experiment(1, T_grid=grid)
     lo, hi = RATE_SLOPE_BAND
     ok = lo <= res.slope <= hi and not any(div for _, _, div in res.rows)
     return SuiteResult("rate_band", ok, f"slope {res.slope:.3f} in [{lo}, {hi}]")
@@ -95,12 +95,32 @@ def suite_restore_exactness(fast=False) -> SuiteResult:
     return SuiteResult("restore_exactness", worst <= 4.0, f"worst deviation {worst:.2f} ulp (<= 4)")
 
 
+def suite_step_estimator(fast=False) -> SuiteResult:
+    """Each step moves the ZO set by -eta_zo times ``forward_differences`` for
+    the step's seeded u, so the estimator suites speak for the shipped step."""
+    c = np.linspace(0.5, 1.5, 16)
+    model = QuadraticModel(blocks=((16, c, 0.0),), seed=0)
+    model.assign([])
+    cfg = OptimizerConfig(eta_fo=0.1, eta_zo=0.01, epsilon=1e-3, alpha=0.0, master_seed=3)
+    obj = QuadraticObjective(c)
+    zo = model.zo
+    worst = 0.0
+    for s in range(20):
+        before = zo.copy()
+        (u,) = regenerate_noise([zo.shape], step_seed(cfg.master_seed, s))
+        want = -cfg.eta_zo * forward_differences(obj, before, cfg.epsilon, u[None])[0]
+        hizfo_step(model, model.dummy_batch(), cfg, s)
+        worst = max(worst, float(np.linalg.norm(zo - before - want) / np.linalg.norm(want)))
+    return SuiteResult("step_estimator", worst <= 1e-9, f"worst relative gap {worst:.2e} (<= 1e-9)")
+
+
 ALL_SUITES = (
     suite_estimator_unbiasedness,
     suite_bias_scaling,
     suite_second_moment,
     suite_rate_band,
     suite_restore_exactness,
+    suite_step_estimator,
 )
 
 

@@ -31,11 +31,11 @@ from hizfo.tensors import Batch
 from hizfo.theory import (
     QuadraticObjective,
     QuarticObjective,
-    TheoryRunSpec,
     estimator_mean,
     estimator_second_moment,
     rate_experiment,
 )
+from test_models import tensor_named
 
 
 def criterion(number, name, passed, detail):
@@ -154,13 +154,12 @@ def test_criterion_05_restore_exactness():
     model = MLPModel(dims=(2, 16, 2), seed=1)
     batches = two_moons_batches(4, 32, seed=3)
     names = [t.name for t in model.tensors()]
-    profile = ImportanceProfile({n: 1.0 for n in names}, {n: 1.0 for n in names}, 1, 1.0,
-                                {n: i for i, n in enumerate(names)})
+    profile = ImportanceProfile({n: 1.0 for n in names}, {n: 1.0 for n in names})
     plan = solve_dp(profile, flops_profile(model, 32), 0.6, 10_000)
     apply_plan(model, plan)
     cfg = OptimizerConfig(eta_fo=0.05, eta_zo=0.005, epsilon=1e-3, alpha=0.1, master_seed=5)
     eps = cfg.epsilon
-    zo = [model.tensor(n) for n in plan.zo_set]
+    zo = [tensor_named(model, n) for n in plan.zo_set]
     shapes = [t.data.shape for t in zo]
     init_zo = [t.data.copy() for t in zo]
     worst_ulp = 0.0
@@ -203,8 +202,7 @@ def test_criterion_06_dp_oracle_equivalence():
         entries = [CostEntry(f"t{i}", i, int(grads[i]), int(props[i]), 0) for i in range(n)]
         cost = CostModel(entries)
         scores = {f"t{i}": float(rng.uniform(0, 1)) for i in range(n)}
-        prof = ImportanceProfile(dict(scores), dict(scores), 1, 1.0,
-                                 {f"t{i}": i for i in range(n)})
+        prof = ImportanceProfile(dict(scores), dict(scores))
         rho = float(rng.uniform(0.1, 0.95))
         dp = solve_dp(prof, cost, rho, buckets=100_000)
         bf = brute_force_select(prof, cost, rho)
@@ -234,7 +232,7 @@ def test_criterion_06_dp_oracle_equivalence():
 
 def test_criterion_07_convergence_rate_band():
     t0 = time.time()
-    res = rate_experiment(TheoryRunSpec(seed=1))
+    res = rate_experiment(1)
     elapsed = time.time() - t0
     ok = -1.5 <= res.slope <= -0.3 and not any(d for _, _, d in res.rows) and elapsed < 120
     criterion(7, "convergence-rate band", ok,

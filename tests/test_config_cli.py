@@ -23,6 +23,7 @@ from hizfo.config import (
 )
 from hizfo.optimizer import ALGORITHMS, OptimizerConfig
 from hizfo.tensors import ConfigurationError
+from test_models import tensor_named
 
 MLP_CFG = """
 [model]
@@ -311,12 +312,12 @@ class TestCli:
         hizfo_step(model_a, batches[0], opt, 0)
         baseline_step_frozen_subset(model_b, batches[0], opt, plan, 0)
         for name in plan.fo_set:
-            assert np.array_equal(model_a.tensor(name).data, model_b.tensor(name).data)
+            assert np.array_equal(tensor_named(model_a, name).data, tensor_named(model_b, name).data)
 
     def test_verify_fast_passes(self, capsys):
         assert self.run_cli("verify", "--fast") == 0
         out = capsys.readouterr().out
-        assert out.count("[PASS]") == 5
+        assert out.count("[PASS]") == 6
 
     def test_bad_hidden_dims_is_config_error(self, tmp_path, capsys):
         text = MLP_CFG.format(out=tmp_path / "out").replace("hidden_dims = 16", "hidden_dims = 16,x")

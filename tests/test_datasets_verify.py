@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from hizfo import theory, verify
+from hizfo import cli, optimizer, theory, verify
 from hizfo.datasets import ByteVocab, CharCorpus, two_moons, two_moons_batches
 from hizfo.tensors import ConfigurationError
 from hizfo.verify import (
@@ -111,7 +111,7 @@ class TestVerifySuites:
         results = verify_all(fast=True)
         assert [r.name for r in results] == [
             "estimator_unbiasedness", "bias_scaling", "second_moment_bound",
-            "rate_band", "restore_exactness",
+            "rate_band", "restore_exactness", "step_estimator",
         ]
         for r in results:
             assert r.passed, f"{r.name}: {r.detail}"
@@ -145,3 +145,21 @@ class TestVerifySuites:
         monkeypatch.setattr(theory, "hizfo_step", lambda model, batch, cfg, step:
                             real(model, batch, dataclasses.replace(cfg, eta_zo=1e-300), step))
         assert not suite_rate_band(fast=True).passed
+
+    @pytest.mark.parametrize("factor", [2.0, -1.0], ids=["doubled", "sign_flipped"])
+    def test_wrong_zo_update_fails_verify(self, monkeypatch, capsys, factor):
+        # a step's first noise pass perturbs by +eps and its closing pass adds
+        # update - eps with the same seed; scale the update in that closing pass
+        real = optimizer.add_scaled_noise
+        eps = {}
+
+        def faulty(arrays, seed, scale):
+            if seed not in eps:
+                eps[seed] = scale
+                return real(arrays, seed, scale)
+            e = eps.pop(seed)
+            return real(arrays, seed, factor * (scale + e) - e)
+
+        monkeypatch.setattr(optimizer, "add_scaled_noise", faulty)
+        assert cli.main(["verify", "--fast"]) == 3
+        assert "[FAIL] step_estimator" in capsys.readouterr().out

@@ -28,6 +28,11 @@ from hizfo.tensors import Batch, ConfigurationError, NumericOverflowError
 GOLDEN_CSV = Path(__file__).parent / "data" / "golden_losses.csv"
 
 
+def tensor_named(model, name):
+    """The model's tensor of that name."""
+    return next(t for t in model.tensors() if t.name == name)
+
+
 def lm_batch(vocab=20, batch=4, T=8, seed=0):
     rng = np.random.default_rng(seed)
     return Batch(rng.integers(0, vocab, size=(batch, T)), rng.integers(0, vocab, size=(batch, T)))
@@ -61,10 +66,10 @@ class TestForwardExamples:
         # independent scalar oracle: same arithmetic, pure python loops
         m = MLPModel(dims=(2, 16, 2), seed=42)
         batch = two_moons_batches(1, 64, seed=7)[0]
-        w1 = m.tensor("layer1.weight").view()  # 2 x 16, input-nearest
-        b1 = m.tensor("layer1.bias").data
-        w0 = m.tensor("layer0.weight").view()  # 16 x 2, output-nearest
-        b0 = m.tensor("layer0.bias").data
+        w1 = tensor_named(m, "layer1.weight").view()  # 2 x 16, input-nearest
+        b1 = tensor_named(m, "layer1.bias").data
+        w0 = tensor_named(m, "layer0.weight").view()  # 16 x 2, output-nearest
+        b0 = tensor_named(m, "layer0.bias").data
         total = 0.0
         for row, label in zip(batch.inputs, batch.targets):
             h = [math.tanh(sum(row[i] * w1[i, j] for i in range(2)) + b1[j]) for j in range(16)]
@@ -159,7 +164,7 @@ class TestGradients:
         # one linear layer gives the finite logits (x0, -x0) = (1e308, -1e308);
         # only the cross-entropy of class 1 overflows
         m = MLPModel(dims=(2, 2), seed=0)
-        m.tensor("layer0.weight").data[:] = [1.0, -1.0, 0.0, 0.0]
+        tensor_named(m, "layer0.weight").data[:] = [1.0, -1.0, 0.0, 0.0]
         batch = Batch(np.full((4, 2), 1e308), np.ones(4, dtype=int))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -331,7 +336,7 @@ class TestDeterminismAndErrors:
         # huge embeddings overflow in the first attention block's score
         # matmul, which squares the magnitudes
         m = TinyAttentionLM(vocab_size=10, d_model=8, depth=2, context=8, seed=0)
-        m.tensor("embed.token").data[:] = 1e200
+        tensor_named(m, "embed.token").data[:] = 1e200
         with pytest.raises(NumericOverflowError) as exc:
             m.forward(lm_batch(vocab=10))
         first_block_index = len(m.layers) - 2  # output-first: head, blocks..., embed
@@ -339,7 +344,7 @@ class TestDeterminismAndErrors:
 
     def test_nonfinite_loss_overflow(self):
         m = MLPModel(dims=(2, 2), seed=0)
-        m.tensor("layer0.weight").data[:] = [1.0, -1.0, 0.0, 0.0]  # logits (x0, -x0)
+        tensor_named(m, "layer0.weight").data[:] = [1.0, -1.0, 0.0, 0.0]  # logits (x0, -x0)
         batch = Batch(np.full((4, 2), 1e308), np.ones(4, dtype=int))
         with pytest.raises(NumericOverflowError, match="non-finite loss") as exc:
             m.forward(batch)
@@ -418,6 +423,25 @@ class TestDeterminismAndErrors:
         # these once raised numpy's bare ValueError from the buffer layout
         with pytest.raises(ConfigurationError, match="at least one parameter tensor"):
             build()
+
+    @pytest.mark.parametrize("build, name", [
+        (lambda: TinyAttentionLM(depth=2.5), "depth"),
+        (lambda: TinyAttentionLM(vocab_size=10.7, d_model=8.2, context=4.9), "vocab_size"),
+        (lambda: TinyAttentionLM(d_model=8.2), "d_model"),
+        (lambda: TinyAttentionLM(context=4.9), "context"),
+        (lambda: MLPModel(dims=(2.9, 16, 2)), "dims"),
+        (lambda: QuadraticModel(blocks=((2.5, 1.0, 0.0),)), "block0 size"),
+    ], ids=["lm_depth", "lm_vocab", "lm_d_model", "lm_context", "mlp_dims", "quadratic_block"])
+    def test_fractional_size_is_configuration_error(self, build, name):
+        # sizes were once truncated: depth 2.5 built 2 blocks, dims 2.9 read 2
+        with pytest.raises(ConfigurationError, match=f"{name} must be an integer"):
+            build()
+
+    def test_numpy_integer_sizes_pass(self):
+        lm = TinyAttentionLM(vocab_size=np.int64(10), d_model=np.int32(8), depth=np.int64(1), context=np.uint8(4))
+        assert (lm.vocab_size, lm.d_model, lm.depth, lm.context) == (10, 8, 1, 4)
+        assert MLPModel(dims=np.array([2, 3, 2])).dims == (2, 3, 2)
+        assert QuadraticModel(blocks=((np.int64(3), 1.0, 0.0),)).flat.size == 3
 
 
 _SMALL = {
@@ -570,7 +594,7 @@ class TestOneFiniteCheck:
         raised = 0
         for name in names:
             m = build()
-            t = m.tensor(name)
+            t = tensor_named(m, name)
             if fill == "tensor":
                 t.data[:] = value
             else:
@@ -593,7 +617,7 @@ class TestOneFiniteCheck:
         # the loss stays finite when a -inf logit is never a target; the
         # logits themselves are non-finite, so the pass must still fail
         m = MLPModel(dims=(2, 2), seed=0)
-        m.tensor("layer0.bias").data[0] = -np.inf
+        tensor_named(m, "layer0.bias").data[0] = -np.inf
         batch = Batch(np.zeros((3, 2)), np.ones(3, dtype=int))
         assert _outcome(_eager_forward, m, batch)[1:] == ("non-finite activations at layer 0", 0)
         with pytest.raises(NumericOverflowError, match="at layer 0") as exc:
@@ -711,7 +735,7 @@ class TestRoleSplit:
         hizfo_step(m, batch, cfg, 0)
         c = _CLONES[clone](m)
         assert len(pickle.dumps(m)) < size + m.flat.nbytes // 2  # the split's views are not copied
-        assert c.fo_names == m.fo_names and all(t is c.tensor(t.name) for t in c.fo)
+        assert c.fo_names == m.fo_names and all(t is tensor_named(c, t.name) for t in c.fo)
         assert c.zo.size == m.zo.size and _layout(c) == _layout(m)
         assert np.shares_memory(c.zo, c.flat) and not np.shares_memory(c.zo, m.flat)
         original = m.flat.copy()

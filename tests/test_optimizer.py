@@ -29,6 +29,7 @@ from hizfo.partition import PartitionPlan, apply_plan
 from hizfo.rng import regenerate_noise, step_seed
 from hizfo.tensors import Batch, ConfigurationError, NumericOverflowError
 from hizfo.theory import QuadraticObjective, forward_differences
+from test_models import tensor_named
 
 
 def one_d_quadratic(theta=1.0, fo=False):
@@ -124,7 +125,7 @@ class TestHizfoStep:
         cfg = OptimizerConfig(**CFG)
         from hizfo.rng import add_scaled_noise, regenerate_noise, step_seed
 
-        zo = [m.tensor(n) for n in plan.zo_set]
+        zo = [tensor_named(m, n) for n in plan.zo_set]
         shapes = [t.data.shape for t in zo]
         worst = 0.0
         for s in range(100):
@@ -145,7 +146,7 @@ class TestHizfoStep:
         m, plan = mlp_with_split()
         batch = two_moons_batches(1, 32, seed=3)[0]
         fo_names = list(plan.fo_set)
-        zo = [m.tensor(n).data for n in plan.zo_set]
+        zo = [tensor_named(m, n).data for n in plan.zo_set]
         eps = 1e-3
         loss_clean, cache = m.forward_with_cache(batch)
         g_clean = m.backward_from_cache(batch, cache, fo_names)
@@ -243,7 +244,7 @@ class TestHizfoStep:
         batch = two_moons_batches(1, 32, seed=3)[0]
         cfg = OptimizerConfig(**CFG)
         assert cfg.alpha > 0
-        fo, zo = [m.tensor(n) for n in plan.fo_set], [m.tensor(n) for n in plan.zo_set]
+        fo, zo = [tensor_named(m, n) for n in plan.fo_set], [tensor_named(m, n) for n in plan.zo_set]
         fo_before = [t.data.copy() for t in fo]
         zo_before = [t.data.copy() for t in zo]
 
@@ -284,7 +285,7 @@ class TestBaselines:
     def test_frozen_subset_leaves_zo_untouched(self):
         m, plan = mlp_with_split()
         batch = two_moons_batches(1, 32, seed=3)[0]
-        zo = [m.tensor(n) for n in plan.zo_set]
+        zo = [tensor_named(m, n) for n in plan.zo_set]
         zo_before = [t.data.copy() for t in zo]
         cfg = OptimizerConfig(**CFG)
         rec = baseline_step_frozen_subset(m, batch, cfg, plan)
@@ -301,7 +302,7 @@ class TestBaselines:
         hizfo_step(m1, batch, cfg, 0)
         baseline_step_frozen_subset(m2, batch, cfg, plan)
         for n in plan.fo_set:
-            assert np.array_equal(m1.tensor(n).data, m2.tensor(n).data)
+            assert np.array_equal(tensor_named(m1, n).data, tensor_named(m2, n).data)
 
     def test_frozen_with_full_plan_matches_full_fo(self):
         m1 = MLPModel(dims=(2, 16, 2), seed=4)
@@ -324,14 +325,14 @@ class TestBaselines:
         plan = PartitionPlan(names[:2], names[2:], 0.5, 0.0, 0, 0.0)
         batch = two_moons_batches(1, 32, seed=3)[0]
         cfg = OptimizerConfig(**CFG)
-        before = {n: m.tensor(n).data.copy() for n in names}
+        before = {n: tensor_named(m, n).data.copy() for n in names}
         # the oracle: one truncated backward over the plan's FO set, then SGD
         grads = backward_truncated(MLPModel(dims=(2, 16, 2), seed=1), batch, plan.fo_set)
         rec = baseline_step_frozen_subset(m, batch, cfg, plan)
         assert m.fo_names == plan.fo_set
         for n in names:
             want = before[n] - cfg.eta_fo * grads[n] if n in plan.fo_set else before[n]
-            assert np.array_equal(m.tensor(n).data, want), n
+            assert np.array_equal(tensor_named(m, n).data, want), n
         assert rec.fo_grad_norm == math.sqrt(sum(float(g @ g) for g in grads.values()))
         assert rec.backward_flops == m.cost_model(batch.size).subset_backward_flops(plan.fo_set)
 
@@ -565,7 +566,7 @@ class TestTrain:
         # the training step is fine, but the eval forward overflows (the
         # periodic eval with interval 1, the final one with interval 0)
         m = MLPModel(dims=(2, 2), seed=0)
-        m.tensor("layer0.weight").data[:] = [1.0, -1.0, 0.0, 0.0]  # logits (x0, -x0)
+        tensor_named(m, "layer0.weight").data[:] = [1.0, -1.0, 0.0, 0.0]  # logits (x0, -x0)
         batch = Batch(np.full((4, 2), 1e308), np.ones(4, dtype=int))
         with pytest.raises(NumericOverflowError):
             m.forward(batch)
@@ -623,7 +624,7 @@ class TestTrain:
         m, plan = mlp_with_split()
         cfg = OptimizerConfig(max_steps=2, **CFG)
         report = train(m, two_moons_batches(1, 16, seed=0), cfg, plan, "hizfo")
-        fo_elems = sum(m.tensor(n).size for n in plan.fo_set)
+        fo_elems = sum(tensor_named(m, n).size for n in plan.fo_set)
         assert report.memory_proxy == {"tape_params": fo_elems}
 
     def test_step_csv_contract(self, tmp_path, monkeypatch):

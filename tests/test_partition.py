@@ -20,8 +20,7 @@ from hizfo.tensors import ConfigurationError
 
 
 def profile_of(scores):
-    names = list(scores)
-    return ImportanceProfile(dict(scores), dict(scores), 1, 1.0, {n: i for i, n in enumerate(names)})
+    return ImportanceProfile(dict(scores), dict(scores))
 
 
 def random_instance(rng, n, integer_costs=True):
