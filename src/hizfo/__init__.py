@@ -44,17 +44,15 @@ from .partition import (
 )
 from .rng import add_scaled_noise, regenerate_noise, splitmix64, step_seed
 from .tensors import Batch, ConfigurationError, NumericOverflowError, ParamTensor
-from .theory import (
+from .verify import (
     QuadraticObjective,
     QuarticObjective,
     RateResult,
-    estimator_bias_sq,
+    SuiteResult,
     estimator_mean,
     estimator_second_moment,
-    hybrid_run_min_grad_sq,
     rate_experiment,
-    second_moment_check,
+    verify_all,
 )
-from .verify import SuiteResult, verify_all
 
 __version__ = "0.1.0"

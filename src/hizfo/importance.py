@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .models import LayeredModel, full_gradient
-from .tensors import ConfigurationError
+from .tensors import ConfigurationError, _size
 
 
 @dataclass
@@ -30,7 +30,7 @@ def estimate_importance(model: LayeredModel, data, warmup_steps: int, warmup_lr:
     The model's parameters are restored bit-for-bit before returning, so
     profiling never moves the model that will actually be trained.
     """
-    if warmup_steps < 1:
+    if _size("warmup_steps", warmup_steps) < 1:
         raise ConfigurationError("warmup_steps must be >= 1")
     if not 0 < warmup_lr < np.inf:  # negated, so that NaN fails too
         raise ConfigurationError(f"warmup_lr must be finite and > 0, got {warmup_lr}")

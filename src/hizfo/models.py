@@ -25,12 +25,11 @@ from __future__ import annotations
 
 import functools
 import itertools
-import operator
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .tensors import Batch, ConfigurationError, NumericOverflowError, ParamTensor
+from .tensors import Batch, ConfigurationError, NumericOverflowError, ParamTensor, _size
 
 
 @dataclass
@@ -101,14 +100,6 @@ def _row_max(x):
     """``x.max(axis=-1, keepdims=True)``, NaN and signed infinities alike:
     numpy reduces short rows slowly but a transposed copy's columns fast."""
     return np.maximum.reduce(x.reshape(-1, x.shape[-1]).T.copy()).reshape(x.shape[:-1] + (1,))
-
-
-def _size(name, value) -> int:
-    """A model size as an int: a float, even an integral one, is rejected, not truncated."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ConfigurationError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _init_dense(rng, fan_in, fan_out):

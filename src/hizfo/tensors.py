@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +25,14 @@ class NumericOverflowError(FloatingPointError):
         return type(self), (str(self), self.layer_index)
 
 
+def _size(name, value) -> int:
+    """A size as an int: a float, even an integral one, is rejected, not truncated."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ConfigurationError(f"{name} must be an integer, got {value!r}") from None
+
+
 class ParamTensor:
     """A named flat array of float64 parameters.
 
@@ -34,7 +43,7 @@ class ParamTensor:
     __slots__ = ("name", "shape", "data", "layer_index")
 
     def __init__(self, name, shape, data):
-        shape = tuple(int(s) for s in shape)
+        shape = tuple(_size(f"tensor {name!r} dimension", s) for s in shape)
         if any(s <= 0 for s in shape):
             raise ConfigurationError(f"tensor {name!r}: non-positive dimension in {shape}")
         data = np.asarray(data, dtype=np.float64).reshape(-1)

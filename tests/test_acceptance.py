@@ -28,7 +28,7 @@ from hizfo.optimizer import OptimizerConfig, hizfo_step, train
 from hizfo.partition import apply_plan, brute_force_select, solve_dp
 from hizfo.rng import add_scaled_noise, regenerate_noise, step_seed
 from hizfo.tensors import Batch
-from hizfo.theory import (
+from hizfo.verify import (
     QuadraticObjective,
     QuarticObjective,
     estimator_mean,

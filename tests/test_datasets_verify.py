@@ -3,8 +3,10 @@ import dataclasses
 import numpy as np
 import pytest
 
-from hizfo import cli, optimizer, theory, verify
+from hizfo import cli, optimizer, verify
 from hizfo.datasets import ByteVocab, CharCorpus, two_moons, two_moons_batches
+from hizfo.models import TinyAttentionLM, full_gradient
+from hizfo.optimizer import OptimizerConfig, hizfo_step
 from hizfo.tensors import ConfigurationError
 from hizfo.verify import (
     suite_bias_scaling,
@@ -14,6 +16,7 @@ from hizfo.verify import (
     suite_second_moment,
     verify_all,
 )
+from test_acceptance import synth_text
 
 
 class TestTwoMoons:
@@ -123,8 +126,8 @@ class TestVerifySuites:
     def test_faulty_estimator_is_caught(self, monkeypatch, scale, failing):
         # a wrongly scaled forward difference shifts the estimator's mean,
         # and at scale 2 also its second moment
-        real = theory.forward_differences
-        monkeypatch.setattr(theory, "forward_differences", lambda obj, theta, mu, u:
+        real = verify.forward_differences
+        monkeypatch.setattr(verify, "forward_differences", lambda obj, theta, mu, u:
                             scale * real(obj, theta, mu, u))
         suites = (suite_estimator_unbiasedness, suite_bias_scaling, suite_second_moment)
         results = [suite(fast=True) for suite in suites]
@@ -141,25 +144,73 @@ class TestVerifySuites:
     def test_stalled_zo_update_is_caught(self, monkeypatch):
         # the rate band runs the shipped step: freezing its ZO update
         # leaves 16 of 20 coordinates at their start, and the band must fail
-        real = theory.hizfo_step
-        monkeypatch.setattr(theory, "hizfo_step", lambda model, batch, cfg, step:
+        real = verify.hizfo_step
+        monkeypatch.setattr(verify, "hizfo_step", lambda model, batch, cfg, step:
                             real(model, batch, dataclasses.replace(cfg, eta_zo=1e-300), step))
         assert not suite_rate_band(fast=True).passed
 
     @pytest.mark.parametrize("factor", [2.0, -1.0], ids=["doubled", "sign_flipped"])
     def test_wrong_zo_update_fails_verify(self, monkeypatch, capsys, factor):
-        # a step's first noise pass perturbs by +eps and its closing pass adds
-        # update - eps with the same seed; scale the update in that closing pass
-        real = optimizer.add_scaled_noise
-        eps = {}
-
-        def faulty(arrays, seed, scale):
-            if seed not in eps:
-                eps[seed] = scale
-                return real(arrays, seed, scale)
-            e = eps.pop(seed)
-            return real(arrays, seed, factor * (scale + e) - e)
-
-        monkeypatch.setattr(optimizer, "add_scaled_noise", faulty)
+        scale_closing_zo_update(monkeypatch, factor)
         assert cli.main(["verify", "--fast"]) == 3
         assert "[FAIL] step_estimator" in capsys.readouterr().out
+
+
+def scale_closing_zo_update(monkeypatch, factor):
+    """Scale the ZO update of every ``hizfo_step`` by ``factor``.
+
+    A step's first noise pass perturbs by +eps and its closing pass adds
+    update - eps with the same seed; the fault scales the update in that
+    closing pass."""
+    real = optimizer.add_scaled_noise
+    eps = {}
+
+    def faulty(arrays, seed, scale):
+        if seed not in eps:
+            eps[seed] = scale
+            return real(arrays, seed, scale)
+        e = eps.pop(seed)
+        return real(arrays, seed, factor * (scale + e) - e)
+
+    monkeypatch.setattr(optimizer, "add_scaled_noise", faulty)
+
+
+class TestLmStepEstimator:
+    """The shipped step's ZO estimate on an attention LM has the error of a
+    single-probe forward difference on a loss linear over eps:
+    E||g_hat - g_b||^2 = (d + 1) ||g_b||^2 at a fixed batch. The band
+    [0.75, 1.33] on the ratio was fixed before looking; at K = 400 probes it
+    is about four Monte-Carlo standard errors wide."""
+
+    BAND = (0.75, 1.33)
+
+    @staticmethod
+    def error_ratio(K=400):
+        corpus = CharCorpus(synth_text(), context=16)
+        model = TinyAttentionLM(vocab_size=corpus.vocab.size, d_model=16, depth=2, context=16, seed=0)
+        batch = corpus.batches(8, 8, seed=0)[0]
+        zo_names = [t.name for t in model.tensors() if t.name.startswith("block")]
+        model.assign([t.name for t in model.tensors() if t.name not in zo_names])
+        grads = full_gradient(model, batch)
+        g = np.concatenate([grads[n].ravel() for n in zo_names])  # the ZO layout of model.zo
+        assert g.size == model.zo.size == 6304
+        cfg = OptimizerConfig(eta_zo=1e-3, epsilon=1e-3, alpha=0.1, master_seed=0)
+        saved = model.flat.copy()
+        err = 0.0
+        for s in range(K):
+            hizfo_step(model, batch, cfg, s)
+            ghat = (model.zo - saved[: g.size]) / -cfg.eta_zo
+            err += float(np.sum((ghat - g) ** 2))
+            model.flat[:] = saved
+        return err / K / ((g.size + 1) * float(g @ g))
+
+    def test_shipped_step_error_matches_single_probe_variance(self):
+        lo, hi = self.BAND
+        ratio = self.error_ratio()
+        assert lo <= ratio <= hi, ratio
+
+    def test_doubled_zo_update_leaves_the_band(self, monkeypatch):
+        scale_closing_zo_update(monkeypatch, 2.0)
+        lo, hi = self.BAND
+        ratio = self.error_ratio()
+        assert not lo <= ratio <= hi, ratio

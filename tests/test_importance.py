@@ -75,8 +75,10 @@ class TestProtocol:
 
     def test_warmup_steps_validated(self):
         m = MLPModel(dims=(2, 16, 2), seed=8)
-        with pytest.raises(ConfigurationError):
-            estimate_importance(m, two_moons_batches(1, 8, seed=0), warmup_steps=0, warmup_lr=1e-3)
+        for steps in (0, 2.5, 2.0):  # a float count is rejected, not truncated
+            with pytest.raises(ConfigurationError, match="warmup_steps"):
+                estimate_importance(m, two_moons_batches(1, 8, seed=0), warmup_steps=steps, warmup_lr=1e-3)
+        estimate_importance(m, two_moons_batches(1, 8, seed=0), warmup_steps=np.int64(2), warmup_lr=1e-3)
 
     def test_scores_keyed_by_model_tensors(self):
         m = MLPModel(dims=(2, 16, 2), seed=8)

@@ -28,7 +28,7 @@ from hizfo.optimizer import (
 from hizfo.partition import PartitionPlan, apply_plan
 from hizfo.rng import regenerate_noise, step_seed
 from hizfo.tensors import Batch, ConfigurationError, NumericOverflowError
-from hizfo.theory import QuadraticObjective, forward_differences
+from hizfo.verify import QuadraticObjective, forward_differences
 from test_models import tensor_named
 
 

@@ -107,6 +107,13 @@ class TestParamTensor:
         with pytest.raises(ConfigurationError):
             ParamTensor("t", (2, 0), np.zeros(0))
 
+    def test_fractional_dims_rejected(self):
+        # a float dimension is rejected, not truncated; numpy integers pass
+        for shape in ((2.5,), (2.0,), (np.float64(2.0),)):
+            with pytest.raises(ConfigurationError, match="must be an integer"):
+                ParamTensor("t", shape, np.zeros(2))
+        assert ParamTensor("t", (np.int64(2), np.uint8(3)), np.zeros(6)).shape == (2, 3)
+
     def test_view_shares_memory(self):
         t = ParamTensor("t", (2, 2), np.arange(4.0))
         t.view()[0, 0] = 9.0

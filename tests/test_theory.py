@@ -2,15 +2,19 @@ import numpy as np
 
 from hizfo.models import QuadraticModel
 from hizfo.optimizer import OptimizerConfig, hizfo_step
-from hizfo.theory import (
+from hizfo.verify import (
     QuadraticObjective,
     QuarticObjective,
-    estimator_bias_sq,
     estimator_mean,
     forward_differences,
     rate_experiment,
-    second_moment_check,
+    suite_second_moment,
 )
+
+
+def squared_bias(obj, theta, mu, n, seed):
+    mean = estimator_mean(obj, theta, mu, n, seed=seed, antithetic=True)
+    return float(np.sum((mean - obj.grad(theta)) ** 2))
 
 
 class TestEstimatorProperties:
@@ -19,20 +23,20 @@ class TestEstimatorProperties:
         for d in (4, 16):
             obj = QuadraticObjective(np.linspace(0.5, 2.0, d))
             theta = np.random.default_rng(d).standard_normal(d)
-            bias_sq = estimator_bias_sq(obj, theta, 1e-3, 50_000, seed=d)
+            bias_sq = squared_bias(obj, theta, 1e-3, 50_000, seed=d)
             assert bias_sq < 1e-8
 
     def test_quartic_bias_shrinks_when_mu_halves(self):
         obj = QuarticObjective()
         theta = np.full(8, 0.7)
-        b1 = estimator_bias_sq(obj, theta, 2e-2, 50_000, seed=1)
-        b2 = estimator_bias_sq(obj, theta, 1e-2, 50_000, seed=1)
+        b1 = squared_bias(obj, theta, 2e-2, 50_000, seed=1)
+        b2 = squared_bias(obj, theta, 1e-2, 50_000, seed=1)
         assert b2 < b1
 
     def test_bias_vanishes_in_small_mu_limit(self):
         obj = QuarticObjective()
         theta = np.full(4, 0.7)
-        tiny = estimator_bias_sq(obj, theta, 1e-6, 50_000, seed=2)
+        tiny = squared_bias(obj, theta, 1e-6, 50_000, seed=2)
         assert tiny < 1e-10
 
     def test_control_variate_matches_raw_mean_estimand(self):
@@ -45,9 +49,8 @@ class TestEstimatorProperties:
         assert np.linalg.norm(cv - raw) < 0.1
 
     def test_second_moment_bound_holds(self):
-        for d in (4, 64):
-            measured, bound = second_moment_check(d, n_samples=50_000, seed=d)
-            assert measured <= bound
+        result = suite_second_moment(fast=True)
+        assert result.passed, result.detail
 
 
 class TestRateExperiment:
