@@ -1,7 +1,7 @@
 """Importance profiling and budgeted selection on a toy quadratic.
 
 Three parameter blocks with very different curvatures get scored by a
-short gradient-descent warm-up, then the DP picks the subset with the
+short gradient-descent warm-up, then the planner picks the subset with the
 largest total score that fits a 50% backward-FLOPs budget.
 """
 
@@ -23,7 +23,7 @@ for name, score in profile.scores.items():
 cost = flops_profile(model, batch_size=1)
 print(f"\ntotal backward FLOPs: {cost.total_backward_flops}")
 
-plan = solve_dp(profile, cost, rho=0.5, buckets=10_000)
+plan = solve_dp(profile, cost, rho=0.5)
 print(f"\nplan at rho=0.5 (budget {plan.budget_flops:.0f} FLOPs):")
 print(f"  first-order:  {plan.fo_set}")
 print(f"  zeroth-order: {plan.zo_set}")

@@ -36,7 +36,7 @@ def fresh_setup():
 print(f"{'algorithm':<15} {'final eval loss':>16} {'backward GFLOPs':>16} {'fwd GFLOPs':>12}")
 for algorithm in ("hizfo", "full_fo", "frozen_subset", "mezo"):
     model, profile, cost = fresh_setup()
-    plan = full_fo_plan(profile, cost) if algorithm == "full_fo" else solve_dp(profile, cost, 0.6, 10_000)
+    plan = full_fo_plan(profile, cost) if algorithm == "full_fo" else solve_dp(profile, cost, 0.6)
     cfg = OptimizerConfig(
         eta_fo=0.05, eta_zo=0.005, epsilon=1e-3, alpha=0.1,
         master_seed=SEED, max_steps=600, eval_interval=10**9,

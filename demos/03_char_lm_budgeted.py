@@ -30,7 +30,7 @@ eval_batches = corpus.batches(2, 8, seed=10_000)
 
 profile = estimate_importance(model, batches, warmup_steps=3, warmup_lr=1e-3)
 cost = flops_profile(model, 8)
-plan = solve_dp(profile, cost, rho=0.6, buckets=10_000)
+plan = solve_dp(profile, cost, rho=0.6)
 
 print(f"\nbackward-FLOPs budget: 0.6 * {cost.total_backward_flops} = {plan.budget_flops:.0f}")
 print(f"plan consumes {plan.consumed_flops} FLOPs per truncated backward")

@@ -30,7 +30,7 @@ def run(seed, ratio):
     batches = corpus.batches(8, 8, seed=seed)
     eval_batches = corpus.batches(2, 8, seed=seed + 10_000)
     profile = estimate_importance(model, batches, warmup_steps=3, warmup_lr=1e-3)
-    plan = solve_dp(profile, flops_profile(model, 8), 0.6, 10_000)
+    plan = solve_dp(profile, flops_profile(model, 8), 0.6)
     cfg = OptimizerConfig(
         eta_fo=ETA_FO, eta_zo=ratio * ETA_FO, epsilon=1e-3, alpha=0.1,
         master_seed=seed, max_steps=300, eval_interval=10**9,

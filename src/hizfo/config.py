@@ -48,7 +48,7 @@ _SCHEMA = {
     },
     "partition": {
         "rho": ("f", 0.6),
-        "buckets": ("i", 10_000),
+        "buckets": ("i", 10_000),  # checked by solve_dp, but no longer moves the plan
         "warmup_steps": ("i", 5),
         "warmup_lr": ("f", 1e-3),
     },

@@ -1,4 +1,4 @@
-"""Budgeted tensor selection: DP solver, brute-force oracle, plan application.
+"""Budgeted tensor selection: exact solver, brute-force oracle, plan application.
 
 The selection problem: pick the tensor subset with the largest total
 importance whose truncated-backward cost fits in ``rho * T_full`` FLOPs,
@@ -8,18 +8,20 @@ including the deepest selected one.
 
 With the deepest selected tensor fixed, the propagation cost is fixed too,
 and the rest is a 0/1 knapsack over the gradient costs of the tensors
-before it. The DP keeps one running knapsack while it walks the tensors
-output-first, a knapsack over gradient costs per deepest tensor, in
-O(N * buckets) time on a budget axis of ``buckets`` cells. A tensor's
-gradient cost and the prefix propagation cost down to the deepest tensor
-are rounded up to whole cells separately, so a reported plan never exceeds
-the budget. At equal importance the cheaper plan wins. Tensors with
-importance <= 0 are never selected: they can only hurt a maximization.
+before it. The solver walks the tensors output-first and keeps the Pareto
+frontier of (gradient cost, importance) over the sets seen so far
+(Nemhauser and Ullmann 1969), so each deepest tensor takes the best
+frontier set that fits beside it. No cost is rounded and there is no
+budget axis: the plan is the exact optimum, in O(N * frontier) time. At
+equal importance the cheaper plan wins. Tensors with importance <= 0 are
+never selected: they can only hurt a maximization.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -27,8 +29,8 @@ from .importance import ImportanceProfile
 from .models import CostModel, LayeredModel
 from .tensors import ConfigurationError
 
-_TOL = 1e-9  # forgives float noise when costs are exact bucket multiples
 _TIE = 1e-15  # importance sums closer than this count as equal
+_MAX_FRONT = 1 << 16  # frontier entries; the benchmark's models peak at 50, 66-tensor MLPs near 1,500
 
 
 @dataclass
@@ -63,70 +65,45 @@ def _check_keys(profile: ImportanceProfile, cost: CostModel):
 
 
 def solve_dp(profile: ImportanceProfile, cost: CostModel, rho: float, buckets: int = 10_000) -> PartitionPlan:
-    """Importance-maximizing selection under a quantized FLOPs budget."""
+    """Importance-maximizing selection under the FLOPs budget, exactly; ``buckets`` no longer moves the plan."""
     if not (0.0 < rho <= 1.0):
         raise ConfigurationError(f"rho must be in (0, 1], got {rho}")
     if buckets < 10:
         raise ConfigurationError(f"buckets must be >= 10, got {buckets}")
     names = _check_keys(profile, cost)
-    n = len(names)
-    total = cost.total_backward_flops
-    scores = np.array([profile.scores[name] for name in names])
+    scores = [profile.scores[name] for name in names]
 
     if rho >= 1.0:
-        # the budget equals the full backward cost, which no subset exceeds,
-        # so the constraint is vacuous and quantization plays no part
-        fo = [names[k] for k in range(n) if scores[k] > 0.0]
+        # the budget equals the full backward cost, which no subset exceeds
+        fo = [name for name, s in zip(names, scores) if s > 0.0]
         return _finish(profile, cost, rho, fo, warning=None)
 
-    grad = np.array(cost.grad, dtype=np.float64)
-    cumprop = np.array(cost.cumprop, dtype=np.float64)
-    if np.all(grad == np.round(grad)) and np.all(cumprop == np.round(cumprop)) and total <= buckets:
-        # integer FLOPs that already fit on the budget axis: run the DP on
-        # unit-cost cells, which is exact (rounding up is a no-op)
-        bucket = 1.0
-        qbudget = int(np.floor(rho * total + _TOL))
-    else:
-        bucket = total / buckets
-        qbudget = int(np.floor(rho * buckets + _TOL))
+    budget = rho * cost.total_backward_flops
+    # front: (grad cost, importance, members bitmask) of the sets of positive
+    # entries before k that no cheaper set matches, so importance rises with cost
+    front = [(0, 0.0, 0)]
+    found = []  # (cost, k, members, importance): the best set whose deepest entry is k
+    for k, (g, p, s) in enumerate(zip(cost.grad, cost.cumprop, scores)):
+        if s <= 0.0:
+            continue
+        best = bisect_right(front, budget - p - g, key=itemgetter(0)) - 1
+        if best >= 0:
+            c, v, m = front[best]
+            found.append((c + g + p, k, m | 1 << k, v + s))
+        grown = sorted(front + [(c + g, v + s, m | 1 << k) for c, v, m in front], key=lambda e: (e[0], -e[1]))
+        front = []
+        for e in grown:  # later entries cannot afford more than budget - p
+            if e[0] <= budget - p and (not front or e[1] > front[-1][1] + _TIE):
+                front.append(e)
+        if len(front) > _MAX_FRONT:
+            raise ConfigurationError(
+                f"planner frontier passed {_MAX_FRONT} entries at {names[k]!r}: too many distinct costs")
 
-    def cells(flops):  # round costs up, so a reported plan never exceeds the budget
-        return np.ceil(flops / bucket - _TOL).astype(np.int64)
-
-    qgrad, qprop = cells(grad), cells(cumprop)
-    # knap[c]: best importance of a set of selectable entries before k whose
-    # grad costs fill exactly c cells; take[j, c]: entry j is in that set
-    knap = np.full(qbudget + 1, -np.inf)
-    knap[0] = 0.0
-    take = np.zeros((n, qbudget + 1), dtype=bool)
-    found = []  # (cells, k, c, importance): best set whose deepest entry is k
-    for k in np.flatnonzero(scores > 0.0):
-        room = qbudget - qprop[k] - qgrad[k]
-        if room >= 0:
-            values = knap[: room + 1] + scores[k]
-            top = values.max()
-            c = int(np.argmax(values >= top - _TIE))  # the cheapest best set
-            found.append((c + qprop[k] + qgrad[k], k, c, top))
-        w = qgrad[k]
-        if w <= qbudget:
-            added = knap[: qbudget + 1 - w] + scores[k]
-            take[k, w:] = added > knap[w:]
-            knap[w:] = np.where(take[k, w:], added, knap[w:])
-
-    fo: list[str] = []
-    if found:
-        top = max(f[3] for f in found)
-        _, k, c, _ = min(f for f in found if f[3] >= top - _TIE)  # equal importance: cheapest
-        fo.append(names[k])
-        for j in range(k - 1, -1, -1):
-            if take[j, c]:
-                fo.append(names[j])
-                c -= qgrad[j]
-
-    warning = None
-    if not fo and not np.any(cells(grad + cumprop) <= qbudget):
-        warning = "budget_below_min_cost"
-    return _finish(profile, cost, rho, fo, warning)
+    top = max((f[3] for f in found), default=0.0)
+    members = min((f for f in found if f[3] >= top - _TIE), default=(0, 0, 0))[2]  # equal importance: cheapest
+    fo = [name for j, name in enumerate(names) if members >> j & 1]
+    low = not fo and not any(g + p <= budget for g, p in zip(cost.grad, cost.cumprop))
+    return _finish(profile, cost, rho, fo, "budget_below_min_cost" if low else None)
 
 
 def _finish(profile, cost, rho, fo, warning) -> PartitionPlan:
@@ -147,9 +124,9 @@ def _finish(profile, cost, rho, fo, warning) -> PartitionPlan:
 def brute_force_select(profile: ImportanceProfile, cost: CostModel, rho: float) -> PartitionPlan:
     """Exact optimum by enumerating all subsets; the solver's test oracle.
 
-    Uses the same cost accounting as solve_dp but no quantization. Ties on
-    importance go to the cheaper subset, then to the smaller one, so the
-    empty set wins when every score is zero.
+    Uses the same cost accounting as solve_dp. Ties on importance go to the
+    cheaper subset, then to the smaller one, so the empty set wins when
+    every score is zero.
     """
     if not (0.0 < rho <= 1.0):
         raise ConfigurationError(f"rho must be in (0, 1], got {rho}")

@@ -1,4 +1,5 @@
 import json
+import time
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ def profile_of(scores):
 
 def random_instance(rng, n, integer_costs=True):
     """Random selection instance; FLOPs counts are integers like real cost
-    models, where the DP's unit-cost cells make it exact."""
+    models, unless `integer_costs` is false."""
     if integer_costs:
         grads = rng.integers(1, 51, n)
         props = rng.integers(0, 21, n)
@@ -45,7 +46,7 @@ FIXTURE = (
 class TestSolveDp:
     def test_fixture_matches_enumeration(self):
         prof, cost = FIXTURE
-        dp = solve_dp(prof, cost, 0.5, buckets=10**6)  # budget 30 of T_full 60
+        dp = solve_dp(prof, cost, 0.5)  # budget 30 of T_full 60
         bf = brute_force_select(prof, cost, 0.5)
         assert dp.achieved_importance == pytest.approx(bf.achieved_importance, abs=1e-12)
         assert dp.fo_set == bf.fo_set == ["t0", "t1"]
@@ -53,13 +54,13 @@ class TestSolveDp:
 
     def test_rho_one_selects_every_positive_tensor(self):
         prof, cost = FIXTURE
-        plan = solve_dp(prof, cost, 1.0, buckets=100)
+        plan = solve_dp(prof, cost, 1.0)
         assert plan.fo_set == ["t0", "t1", "t2", "t3"]
         assert plan.consumed_flops == cost.total_backward_flops
 
     def test_budget_below_min_cost_gives_all_zo_with_warning(self):
         prof, cost = FIXTURE
-        plan = solve_dp(prof, cost, 0.1, buckets=100)  # budget 6 < min single cost 15
+        plan = solve_dp(prof, cost, 0.1)  # budget 6 < min single cost 15
         assert plan.fo_set == [] and plan.warning == "budget_below_min_cost"
         assert plan.achieved_importance == 0.0
         assert set(plan.zo_set) == {"t0", "t1", "t2", "t3"}
@@ -70,43 +71,45 @@ class TestSolveDp:
             n = int(rng.integers(2, 13))
             prof, cost = random_instance(rng, n)
             rho = float(rng.uniform(0.1, 0.95))
-            dp = solve_dp(prof, cost, rho, buckets=100_000)
+            dp = solve_dp(prof, cost, rho)
             bf = brute_force_select(prof, cost, rho)
-            assert bf.achieved_importance - 1e-9 <= dp.achieved_importance
-            assert dp.achieved_importance <= bf.achieved_importance + 1e-12
+            assert dp.consumed_flops == bf.consumed_flops
+            assert dp.achieved_importance == pytest.approx(bf.achieved_importance, abs=1e-12)
 
     def test_float_costs_never_beat_oracle(self):
-        # with non-integral costs the bucketed DP may lose a boundary set to
-        # round-up, but must never report more than the true optimum
+        # non-integral costs are summed in another order than the oracle's,
+        # which may move a set on the budget's boundary by one rounding, but
+        # the solver neither beats nor misses the true optimum here
         rng = np.random.default_rng(7)
         for _ in range(40):
             n = int(rng.integers(2, 13))
             prof, cost = random_instance(rng, n, integer_costs=False)
             rho = float(rng.uniform(0.1, 0.95))
-            dp = solve_dp(prof, cost, rho, buckets=50_000)
+            dp = solve_dp(prof, cost, rho)
             bf = brute_force_select(prof, cost, rho)
-            assert dp.achieved_importance <= bf.achieved_importance + 1e-12
+            assert bf.achieved_importance - 1e-12 <= dp.achieved_importance <= bf.achieved_importance + 1e-12
 
-    def test_consumed_within_one_bucket_of_budget(self):
+    def test_consumed_within_budget(self):
         rng = np.random.default_rng(3)
         for _ in range(30):
             prof, cost = random_instance(rng, 10)
             rho = float(rng.uniform(0.2, 0.99))
             buckets = int(rng.choice([100, 1000, 10_000]))
             plan = solve_dp(prof, cost, rho, buckets=buckets)
-            assert plan.consumed_flops <= plan.budget_flops + cost.total_backward_flops / buckets + 1e-9
+            assert plan == solve_dp(prof, cost, rho)  # buckets does not move the plan
+            assert plan.consumed_flops <= plan.budget_flops
 
     def test_equal_importance_cheaper_set_wins(self):
         # {t0} and {t1, t2} tie across deepest tensors; {t0, t3} and
         # {t1, t2, t3} tie under the same deepest tensor t3
         prof = profile_of({"t0": 0.5, "t1": 0.25, "t2": 0.25})
         cost = CostModel([CostEntry("t0", 0, 10, 0, 0), CostEntry("t1", 1, 2, 0, 0), CostEntry("t2", 2, 2, 0, 0)])
-        plan = solve_dp(prof, cost, 0.75, buckets=100)
+        plan = solve_dp(prof, cost, 0.75)
         assert plan.fo_set == brute_force_select(prof, cost, 0.75).fo_set == ["t1", "t2"]
         prof = profile_of({"t0": 0.5, "t1": 0.25, "t2": 0.25, "t3": 0.125})
         cost = CostModel([CostEntry("t0", 0, 10, 0, 0), CostEntry("t1", 1, 4, 0, 0),
                           CostEntry("t2", 2, 4, 0, 0), CostEntry("t3", 3, 1, 0, 0)])
-        plan = solve_dp(prof, cost, 12 / 19, buckets=100)
+        plan = solve_dp(prof, cost, 12 / 19)
         assert plan.fo_set == brute_force_select(prof, cost, 12 / 19).fo_set == ["t1", "t2", "t3"]
         assert plan.consumed_flops == 9
 
@@ -115,20 +118,20 @@ class TestSolveDp:
         # simply not worth selecting
         prof = profile_of({"t0": -0.5, "t1": 0.9})
         cost = CostModel([CostEntry("t0", 0, 1, 0, 0), CostEntry("t1", 1, 50, 0, 0)])
-        plan = solve_dp(prof, cost, 0.1, buckets=100)
+        plan = solve_dp(prof, cost, 0.1)
         assert plan.fo_set == [] and plan.warning is None
 
     def test_negative_importance_never_selected(self):
         prof = profile_of({"t0": 0.5, "t1": -0.2, "t2": 0.3})
         cost = CostModel([CostEntry(f"t{i}", i, 1, 0, 0) for i in range(3)])
-        plan = solve_dp(prof, cost, 1.0, buckets=100)
+        plan = solve_dp(prof, cost, 1.0)
         assert "t1" not in plan.fo_set and plan.fo_set == ["t0", "t2"]
 
     def test_monotone_in_rho(self):
         rng = np.random.default_rng(9)
         prof, cost = random_instance(rng, 10)
         achieved = [
-            solve_dp(prof, cost, rho, buckets=10_000).achieved_importance
+            solve_dp(prof, cost, rho).achieved_importance
             for rho in (0.1, 0.3, 0.5, 0.7, 0.9, 1.0)
         ]
         assert all(a <= b + 1e-12 for a, b in zip(achieved, achieved[1:]))
@@ -136,9 +139,9 @@ class TestSolveDp:
     def test_invalid_arguments(self):
         prof, cost = FIXTURE
         with pytest.raises(ConfigurationError):
-            solve_dp(prof, cost, 0.0, buckets=100)
+            solve_dp(prof, cost, 0.0)
         with pytest.raises(ConfigurationError):
-            solve_dp(prof, cost, 1.5, buckets=100)
+            solve_dp(prof, cost, 1.5)
         with pytest.raises(ConfigurationError):
             solve_dp(prof, cost, 0.5, buckets=5)
 
@@ -146,7 +149,18 @@ class TestSolveDp:
         prof, _ = FIXTURE
         cost = CostModel([CostEntry("other", 0, 1, 0, 0)])
         with pytest.raises(ConfigurationError):
-            solve_dp(prof, cost, 0.5, buckets=100)
+            solve_dp(prof, cost, 0.5)
+
+    def test_frontier_cap_raises(self):
+        # distinct powers of two with importance rising with cost: every subset
+        # is on the frontier, which doubles per tensor until it passes the cap
+        n = 35
+        prof = profile_of({f"t{i}": float(2**i) for i in range(n)})
+        cost = CostModel([CostEntry(f"t{i}", i, 2**i, 0, 0) for i in range(n)])
+        t0 = time.perf_counter()
+        with pytest.raises(ConfigurationError, match="frontier passed 65536 entries"):
+            solve_dp(prof, cost, 0.99)
+        assert time.perf_counter() - t0 < 1.0
 
 
 # integer instances of up to 10 tensors: (grad_flops, prop_flops, importance)
@@ -166,7 +180,7 @@ class TestProperties:
     def test_dp_equals_brute_force(self, rows, k):
         # rho = k/64 keeps rho * T_full exact, so both see the same budget
         prof, cost = instance(rows)
-        dp = solve_dp(prof, cost, k / 64, buckets=10_000)
+        dp = solve_dp(prof, cost, k / 64)
         bf = brute_force_select(prof, cost, k / 64)
         assert (dp.achieved_importance, dp.consumed_flops) == (bf.achieved_importance, bf.consumed_flops)
         assert dp.consumed_flops <= dp.budget_flops
@@ -183,26 +197,47 @@ class TestProperties:
 
 
 class TestGoldenPlans:
-    """Plans of real cost models. The values come from an independent DP that
-    scans every nearest selected predecessor (O(N^2 * buckets)), so any
-    change to the planner that moves a real plan fails here."""
+    """Plans of real cost models. Each expected plan was checked against an
+    independent exact solver that fixes the deepest tensor and keeps the best
+    importance at every reachable gradient cost before it, with no frontier
+    pruning, so any change to the planner that moves a real plan fails here."""
 
-    def test_attention_lm_depth4(self):
+    @staticmethod
+    def lm_depth4(words):
         rng = np.random.default_rng(5)
-        words = ("the", "cat", "sat", "on", "a", "mat", "dog", "ran")
         corpus = CharCorpus(" ".join(rng.choice(words, size=400)).encode(), 16)
         model = TinyAttentionLM(vocab_size=corpus.vocab.size, d_model=16, depth=4, context=16, seed=3)
         batches = corpus.batches(2, 16, seed=4)
-        prof = estimate_importance(model, batches, warmup_steps=3, warmup_lr=1e-3)
-        plan = solve_dp(prof, flops_profile(model, 16), 0.3, buckets=100_000)
+        return estimate_importance(model, batches, warmup_steps=3, warmup_lr=1e-3), flops_profile(model, 16)
+
+    def test_attention_lm_depth4(self):
+        prof, cost = self.lm_depth4(("the", "cat", "sat", "on", "a", "mat", "dog", "ran"))
+        plan = solve_dp(prof, cost, 0.3)
         assert plan.fo_set == ["head.weight", "block3.b1", "block3.b2", "block2.b1", "block2.b2"]
         assert plan.consumed_flops == 4464640 and plan.warning is None
+
+    def test_attention_lm_depth4_rho08_fills_the_budget(self):
+        # the twelve-word alphabet of the benchmark's LM workloads; at rho 0.8
+        # a DP that rounded each cost up to cells of T_full / 100,000 FLOPs
+        # left out block2.wk: 11,919,360 FLOPs, importance 6.438870457134251
+        prof, cost = self.lm_depth4(("the", "cat", "sat", "on", "a", "mat", "dog", "ran",
+                                     "far", "big", "red", "sun"))
+        plan = solve_dp(prof, cost, 0.8)
+        assert plan.fo_set == [
+            "head.weight", "block3.wv", "block3.wo", "block3.b1", "block3.w2", "block3.b2",
+            "block2.wk", "block2.wv", "block2.wo", "block2.b1", "block2.w2", "block2.b2",
+            "block1.wv", "block1.wo", "block1.b1", "block1.w2", "block1.b2",
+            "block0.wv", "block0.wo", "block0.b1", "block0.w2", "block0.b2",
+            "embed.token", "embed.position",
+        ]
+        assert plan.consumed_flops == 12050432 <= plan.budget_flops == 0.8 * 15065088
+        assert plan.achieved_importance > 6.438870457134251 and plan.warning is None
 
     def test_mlp_two_moons(self):
         model = MLPModel(dims=(2, 16, 2), seed=1)
         batches = two_moons_batches(2, 64, noise=0.2, seed=2)
         prof = estimate_importance(model, batches, warmup_steps=5, warmup_lr=1e-3)
-        plan = solve_dp(prof, flops_profile(model, 64), 0.6, buckets=10_000)
+        plan = solve_dp(prof, flops_profile(model, 64), 0.6)
         assert plan.fo_set == ["layer0.weight", "layer0.bias"]
         assert plan.consumed_flops == 8320 and plan.warning is None
 
@@ -234,7 +269,7 @@ class TestCostAudit:
         prof = estimate_importance(model, batches, warmup_steps=2, warmup_lr=1e-3)
         cost = flops_profile(model, 16)
         for rho in (0.3, 0.6, 0.9, 1.0):
-            plan = solve_dp(prof, cost, rho, buckets=10_000)
+            plan = solve_dp(prof, cost, rho)
             if not plan.fo_set:
                 continue
             before = model.tally.backward
@@ -309,7 +344,7 @@ class TestApplyPlan:
 class TestSerialization:
     def test_plan_json_roundtrip(self, tmp_path):
         prof, cost = FIXTURE
-        plan = solve_dp(prof, cost, 0.5, buckets=1000)
+        plan = solve_dp(prof, cost, 0.5)
         path = tmp_path / "plan.json"
         _write_json(path, plan.to_dict())
         with open(path) as f:
