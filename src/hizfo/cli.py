@@ -211,8 +211,13 @@ def cmd_report(out: Path) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a malformed command line is a config error
+        raise ConfigurationError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="hizfo", description=__doc__)
+    p = _Parser(prog="hizfo", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
     for name in ("profile", "partition", "train", "sweep"):
         sp = sub.add_parser(name)
@@ -220,18 +225,16 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--seed", type=int, default=None, help="override master seed")
         sp.add_argument("--out", default=None, help="override output directory")
         if name == "sweep":
-            sp.add_argument("--axis", required=True, choices=SWEEP_AXES)
+            sp.add_argument("--axis", required=True, help=f"one of {', '.join(SWEEP_AXES)}")
             sp.add_argument("--values", required=True, help="comma-separated values")
-    sv = sub.add_parser("verify")
-    sv.add_argument("--fast", action="store_true", help="reduced Monte-Carlo budgets")
-    sr = sub.add_parser("report")
-    sr.add_argument("--out", required=True, help="run directory to summarize")
+    sub.add_parser("verify").add_argument("--fast", action="store_true", help="reduced Monte-Carlo budgets")
+    sub.add_parser("report").add_argument("--out", required=True, help="run directory to summarize")
     return p
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if args.command == "verify":
             return cmd_verify(args.fast)
         if args.command == "report":

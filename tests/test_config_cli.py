@@ -316,8 +316,11 @@ class TestCli:
 
     def test_verify_fast_passes(self, capsys):
         assert self.run_cli("verify", "--fast") == 0
-        out = capsys.readouterr().out
-        assert out.count("[PASS]") == 6
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in lines] == [f"[PASS] {name}" for name in (
+            "estimator_unbiasedness", "bias_scaling", "second_moment_bound",
+            "rate_band", "restore_exactness", "step_estimator",
+        )]
 
     def test_bad_hidden_dims_is_config_error(self, tmp_path, capsys):
         text = MLP_CFG.format(out=tmp_path / "out").replace("hidden_dims = 16", "hidden_dims = 16,x")
@@ -364,6 +367,21 @@ class TestCli:
         assert self.run_cli(*argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("config error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["train"],
+        ["train", "--config", "{cfg}", "--seed", "abc"],
+        ["sweep", "--config", "{cfg}", "--axis", "bogus", "--values", "1"],
+        ["bogus"],
+    ], ids=["no_config", "seed_not_int", "unknown_axis", "unknown_command"])
+    def test_malformed_command_line_is_config_error(self, tmp_path, capsys, argv):
+        cfg = self.write_cfg(tmp_path)
+        assert self.run_cli(*[a.format(cfg=cfg) for a in argv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+        with pytest.raises(SystemExit) as e:  # help is not an error
+            self.run_cli("--help")
+        assert e.value.code == 0
 
     @staticmethod
     def forbid_runs(monkeypatch):
