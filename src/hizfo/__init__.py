@@ -2,9 +2,9 @@
 
 The package splits a model's tensors into a first-order set, updated with
 exact truncated backpropagation, and a zeroth-order set, updated with a
-seeded in-place finite-difference estimate, selecting the split by dynamic
-programming over per-tensor importance scores under a backward-FLOPs
-budget. Baselines (full FO, frozen subset, pure ZO) and an empirical
+seeded in-place finite-difference estimate, selecting the split with an
+exact Pareto-frontier solver over per-tensor importance scores under a
+backward-FLOPs budget. Baselines (full FO, frozen subset, pure ZO) and an empirical
 validation suite for the estimator and convergence-rate properties are
 included.
 """

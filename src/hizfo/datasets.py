@@ -40,8 +40,8 @@ class ByteVocab:
         present = np.flatnonzero(counts)
         # most frequent first; the stable sort breaks ties by byte value
         keep = np.sort(present[np.argsort(-counts[present], kind="stable")][: self.MAX_SIZE - 1])
-        # ids in byte order from 1; every other byte maps to OOV
-        self.id_table = np.full(256, OOV, dtype=np.int64)
+        # ids in byte order from 1; every other byte maps to OOV; 64 ids fit a byte
+        self.id_table = np.full(256, OOV, dtype=np.uint8)
         self.id_table[keep] = np.arange(1, keep.size + 1)
         self.size = keep.size + 1
 

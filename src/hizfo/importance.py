@@ -43,15 +43,13 @@ def estimate_importance(model: LayeredModel, data, warmup_steps: int, warmup_lr:
     names = [t.name for t in tensors]
     try:
         stream = itertools.cycle(batches)
-        last_update: dict[str, np.ndarray] = {}
-        batch = None
         for _ in range(warmup_steps):
-            batch = next(stream)
+            batch, last_update = next(stream), None  # free the last update before this backward
             grads = full_gradient(model, batch)
+            last_update = {t.name: -warmup_lr * grads[t.name] for t in tensors}
             for t in tensors:
-                step = -warmup_lr * grads[t.name]
-                t.data += step
-                last_update[t.name] = step
+                t.data += last_update[t.name]
+            del grads
         # gradient at the post-update weights, on the batch the update minimized
         grads = full_gradient(model, batch)
         raw = {n: float(-(last_update[n] @ grads[n])) for n in names}

@@ -18,13 +18,15 @@ is not counted. Non-matmul gradient reductions (bias sums, embedding
 scatter-adds) are charged one FLOP per touched element. Activation
 propagation through a layer is charged whenever the layer is traversed,
 including the deepest traversed layer, so the cost of a full backward
-equals the sum of all per-tensor entries exactly.
+equals the sum of all per-tensor entries exactly. The tally counts this
+budget-comparable cost; the deepest layer and a kept frozen prefix run less.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import weakref
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -138,7 +140,7 @@ class LayeredModel:
     def __getstate__(self):
         # a copy carries each parameter once, in its tensor, and assign lays
         # the buffer out again when it is restored
-        return {k: v for k, v in self.__dict__.items() if k not in ("flat", "zo")}
+        return {k: v for k, v in self.__dict__.items() if k not in ("flat", "zo", "_prefix")}
 
     def __setstate__(self, state):
         self.__dict__.update(state)
@@ -165,9 +167,10 @@ class LayeredModel:
             t.data = self.flat[k : k + t.size]
             k += t.size
         self.zo = self.flat[: self.flat.size - sum(t.size for t in self.fo)]
+        self._prefix = (None, {})  # the frozen bytes and the kept outputs of _SequentialModel._forward
 
     # subclasses implement:
-    def _forward(self, batch):  # -> (loss, cache)
+    def _forward(self, batch, reuse_prefix=False):  # -> (loss, cache)
         raise NotImplementedError
 
     def _backward(self, batch, cache, active: set):  # -> dict name -> grad
@@ -193,11 +196,13 @@ class LayeredModel:
         loss, _ = self.forward_with_cache(batch)
         return loss
 
-    def forward_with_cache(self, batch: Batch):
+    def forward_with_cache(self, batch: Batch, reuse_prefix: bool = False):
+        """One checked, tallied pass. With `reuse_prefix` it may start higher (``_kept_prefix``),
+        and its cache then serves only a backward over the FO set."""
         # overflow surfaces as a NumericOverflowError from the finite check,
         # not as numpy runtime warnings
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            loss, cache = self._forward(batch)
+            loss, cache = self._forward(batch, reuse_prefix)
         if not np.isfinite(loss):
             raise NumericOverflowError("non-finite loss", 0)
         self.tally.forward += self._batch_cost(batch).total_forward_flops
@@ -243,7 +248,7 @@ class QuadraticModel(LayeredModel):
     def dummy_batch(self) -> Batch:
         return Batch(np.zeros((1, 1)), np.zeros((1, 1)))
 
-    def _forward(self, batch):
+    def _forward(self, batch, reuse_prefix=False):
         loss = 0.0
         for t, c, tgt in zip(self._tensors, self.curvatures, self.targets):
             d = t.data - tgt
@@ -273,26 +278,49 @@ class _SequentialModel(LayeredModel):
     ``_inputs``; the layer walk and the cross-entropy loss are shared.
     """
 
-    def _forward(self, batch):
+    def _forward(self, batch, reuse_prefix=False):
         """Loss and cache of one pass, with one finite check for the pass.
 
         NaN and ±inf in any layer's output reach the loss, except a -inf
         logit off the targets, which the logits' sum catches. Only when that
         check fails are the outputs scanned in forward order; the first
-        non-finite one is raised as ``NumericOverflowError``.
+        non-finite one is raised as ``NumericOverflowError``. A prefix is kept
+        only from a pass that passed, so one that starts above it scans as a full one.
         """
         h = self._inputs(batch)
-        caches, outs = [], []
-        for li in range(len(self.layers) - 1, -1, -1):
-            h, c = self.layers[li].forward(h)
-            caches.append(c)
-            outs.append(h)
+        top = start = len(self.layers) - 1
+        deepest, kept, key = self._kept_prefix(batch, h) if reuse_prefix else (top, None, None)
+        if kept is not None:
+            start, h = deepest, kept
+        caches, outs = [None] * (top + 1), [None] * (top + 1)  # caches in forward order, outs by layer
+        for li in range(start, -1, -1):
+            h, caches[top - li] = self.layers[li].forward(h)
+            outs[li] = h
         loss, g_logits = self._loss(h, batch)
         if not np.isfinite(loss + np.add.reduce(h, axis=None)):
-            for li, out in zip(range(len(self.layers) - 1, -1, -1), outs):
-                if not np.all(np.isfinite(out)):
+            for li in range(start, -1, -1):
+                if not np.all(np.isfinite(outs[li])):
                     raise NumericOverflowError(f"non-finite activations at layer {li}", li)
+        if key is not None and kept is None:
+            outs[deepest + 1].flags.writeable = False
+            entries = self._prefix[1]
+            drop = lambda _, k=id(batch): entries.pop(k, None)  # the batch died
+            entries[id(batch)] = (weakref.ref(batch, drop), key, outs[deepest + 1])
         return loss, (caches, g_logits)
+
+    def _kept_prefix(self, batch, x):
+        """The deepest FO layer, the frozen layers' output kept for `batch` or None, and the key
+        to keep one under, None with no layer below. Outputs are read back while their batch lives,
+        `x` and the ZO bytes match and ``assign`` has not run; new ZO bytes drop them all."""
+        deepest = max((t.layer_index for t in self.fo), default=-1)
+        if deepest == len(self.layers) - 1:
+            return deepest, None, None
+        frozen = self.zo.tobytes()  # a bytes compare beats a memoryview one ~50x
+        if frozen != self._prefix[0]:
+            self._prefix = (frozen, {})
+        key = (x.dtype.str, x.shape, x.tobytes())
+        ref, seen, kept = self._prefix[1].get(id(batch), (None, None, None))
+        return deepest, kept if seen == key and ref() is batch else None, key
 
     def _loss(self, logits, batch):
         """Mean cross-entropy over every position of ``logits`` (..., classes)
@@ -319,8 +347,8 @@ class _SequentialModel(LayeredModel):
         caches, g = cache
         deepest = max(self._by_name[n].layer_index for n in active)
         grads = {}
-        for li in range(deepest + 1):
-            layer_grads, g = self.layers[li].backward(g, caches[len(self.layers) - 1 - li], active)
+        for li, c in zip(range(deepest + 1), caches[::-1]):
+            layer_grads, g = self.layers[li].backward(g, c, active, li < deepest)
             grads.update(layer_grads)
         return grads
 
@@ -328,9 +356,8 @@ class _SequentialModel(LayeredModel):
 class _DenseLayer:
     """y = act(x @ W [+ b]) over the last axis of x, as one 2-D GEMM over
     every leading row (B rows for the MLP, B*T for the LM head), so y has
-    shape (rows, fan_out); backward computes the input gradient, in x's
-    shape, whenever the layer is traversed, including as the deepest one,
-    so measured FLOPs match the cost model exactly."""
+    shape (rows, fan_out); backward returns the input gradient, in x's shape,
+    unless the layer is the deepest traversed; the cost model charges it anyway."""
 
     def __init__(self, name, fan_in, fan_out, rng, activation, bias=True):
         self.fan_in = fan_in
@@ -347,7 +374,7 @@ class _DenseLayer:
         out = np.tanh(pre) if self.activation == "tanh" else pre
         return out, (x, out if self.activation == "tanh" else None)
 
-    def backward(self, g_out, cache, active):
+    def backward(self, g_out, cache, active, propagate):
         x, tanh_out = cache
         g_pre = g_out * (1.0 - tanh_out * tanh_out) if self.activation == "tanh" else g_out
         W = self.tensors[0]
@@ -356,7 +383,7 @@ class _DenseLayer:
             grads[W.name] = (x.reshape(-1, self.fan_in).T @ g_pre).reshape(-1)
         if len(self.tensors) > 1 and self.tensors[1].name in active:
             grads[self.tensors[1].name] = g_pre.sum(axis=0)
-        return grads, (g_pre @ W.view().T).reshape(x.shape)
+        return grads, (g_pre @ W.view().T).reshape(x.shape) if propagate else None
 
     def cost_entries(self, layer_index, batch, T):
         rows = batch * T
@@ -411,7 +438,7 @@ class _EmbeddingLayer:
         out = self.tensors[0].view()[tokens] + self.tensors[1].view()[:T]
         return out, tokens
 
-    def backward(self, g_out, cache, active):
+    def backward(self, g_out, cache, active, propagate):
         tokens = cache
         grads = {}
         tok, pos = self.tensors
@@ -484,7 +511,7 @@ class _AttentionBlock:
         shape = (B, T, -1)
         return out.reshape(shape), (x, q, k, v, a, z, h.reshape(shape), t1.reshape(shape))
 
-    def backward(self, g_out, cache, active):
+    def backward(self, g_out, cache, active, propagate):
         x, q, k, v, a, z, h, t1 = cache
         Wq, Wk, Wv, Wo, W1, b1, W2, b2 = self.tensors
         B, T, d = x.shape
@@ -501,12 +528,14 @@ class _AttentionBlock:
         if b2.name in active:
             grads[b2.name] = g2.sum(axis=0)
         g_u1 *= 1.0 - t1 * t1
-        g_h = g_u1 @ W1.view().T
-        g_h += g2
         if W1.name in active:
             grads[W1.name] = (h.reshape(n, d).T @ g_u1).reshape(-1)
         if b1.name in active:
             grads[b1.name] = g_u1.sum(axis=0)
+        if not (propagate or any(W.name in active for W in (Wq, Wk, Wv, Wo))):
+            return grads, None  # the attention half feeds only its tensors and the input
+        g_h = g_u1 @ W1.view().T
+        g_h += g2
 
         g_z = (g_h @ Wo.view().T).reshape(B, T, d)
         if Wo.name in active:
@@ -523,7 +552,8 @@ class _AttentionBlock:
         g_x = g_h
         for W, g in ((Wq, g_q), (Wk, g_k), (Wv, g_v)):
             g = g.reshape(n, d)
-            g_x += g @ W.view().T
+            if propagate:
+                g_x += g @ W.view().T
             if W.name in active:
                 grads[W.name] = (x2.T @ g).reshape(-1)
         return grads, g_x.reshape(B, T, d)

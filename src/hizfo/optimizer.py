@@ -159,19 +159,20 @@ def baseline_step_frozen_subset(
     model: LayeredModel, batch: Batch, cfg: OptimizerConfig, plan: PartitionPlan,
     step_index: int = 0, fo_updater: FoUpdater | None = None,
 ) -> StepRecord:
-    """First-order updates on the model's FO set, after applying `plan` if the model does not hold it."""
+    """First-order updates on the model's FO set, after applying `plan` if the model does not
+    hold it; the frozen layers below the deepest FO layer run once per batch while unchanged."""
     if set(plan.fo_set) != set(model.fo_names):
         apply_plan(model, plan)
-    return _fo_step(model, batch, cfg, step_index, fo_updater, model.fo, model.fo_names)
+    return _fo_step(model, batch, cfg, step_index, fo_updater, model.fo, model.fo_names, reuse_prefix=True)
 
 
-def _fo_step(model, batch, cfg, step_index, fo_updater, tensors, names) -> StepRecord:
+def _fo_step(model, batch, cfg, step_index, fo_updater, tensors, names, reuse_prefix=False) -> StepRecord:
     """First-order update of `tensors`, called `names`, from one truncated backward."""
     t0 = time.perf_counter_ns()
     updater = fo_updater or FoUpdater(cfg)
     fwd_before, bwd_before = model.tally.forward, model.tally.backward
     try:
-        loss, cache = model.forward_with_cache(batch)
+        loss, cache = model.forward_with_cache(batch, reuse_prefix)
     except NumericOverflowError:
         return _diverged(step_index, model, fwd_before, t0)
     grads = model.backward_from_cache(batch, cache, names)

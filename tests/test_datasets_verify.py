@@ -6,8 +6,9 @@ import pytest
 from hizfo import cli, optimizer, verify
 from hizfo.datasets import ByteVocab, CharCorpus, two_moons, two_moons_batches
 from hizfo.models import QuadraticModel, TinyAttentionLM, full_gradient
-from hizfo.optimizer import OptimizerConfig, hizfo_step
-from hizfo.tensors import ConfigurationError
+from hizfo.optimizer import OptimizerConfig, hizfo_step, train
+from hizfo.partition import PartitionPlan
+from hizfo.tensors import Batch, ConfigurationError
 from hizfo.verify import (
     QuadraticObjective,
     QuarticObjective,
@@ -107,6 +108,22 @@ class TestCharCorpus:
                 for have, want in ((batch.inputs, x), (batch.targets, y)):
                     assert have.dtype == want.dtype and np.array_equal(have, want)
                     assert have.flags.c_contiguous
+
+    def test_batches_are_bytes_and_train_like_int64_ones(self):
+        corpus = CharCorpus(b"hello world, hello charlm " * 40, context=8)
+        batches = corpus.batches(3, 4, seed=1)
+        assert corpus.ids.dtype == np.uint8
+        assert all(b.inputs.dtype == b.targets.dtype == np.uint8 for b in batches)
+        wide = [Batch(b.inputs.astype(np.int64), b.targets.astype(np.int64)) for b in batches]
+        runs = []
+        for data in (batches, wide):
+            m = TinyAttentionLM(vocab_size=corpus.vocab.size, d_model=8, depth=2, context=8, seed=0)
+            names = [t.name for t in m.tensors()]
+            plan = PartitionPlan(names[:3], names[3:], 0.5, 0.0, 0, 0.0)
+            cfg = OptimizerConfig(eta_fo=0.05, eta_zo=0.005, max_steps=6)
+            r = train(m, data, cfg, plan, "hizfo", eval_batches=data[:1])
+            runs.append(([dataclasses.replace(x, wall_ns=0) for x in r.records], r.eval_history, m.flat.tobytes()))
+        assert runs[0] == runs[1]
 
     def test_too_short_corpus_rejected(self):
         with pytest.raises(ConfigurationError):

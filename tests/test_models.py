@@ -101,6 +101,17 @@ class TestGradients:
             for n in active:
                 assert np.max(np.abs(got[n] - full[n])) <= 1e-12
 
+    @pytest.mark.parametrize("active", [{"layer0.bias", "layer1.weight"}, {"layer2.bias"}])
+    def test_deepest_dense_layer_gradients_are_the_full_ones(self, active):
+        # the deepest traversed dense layer returns no input gradient
+        m = MLPModel(dims=(2, 16, 8, 2), seed=2)
+        batch = two_moons_batches(1, 16, seed=1)[0]
+        full = full_gradient(m, batch)
+        got = backward_truncated(m, batch, active)
+        assert set(got) == active
+        for n in active:
+            assert np.array_equal(got[n], full[n]), n
+
     def test_top_layer_only_equals_full_slice(self):
         m = MLPModel(dims=(2, 16, 2), seed=3)
         batch = two_moons_batches(1, 16, seed=5)[0]
@@ -185,6 +196,19 @@ class TestAttentionKernels:
             for n in active:
                 assert np.max(np.abs(got[n] - full[n])) <= 1e-12
 
+    @pytest.mark.parametrize("name", ["b1", "b2", "w1", "w2", "wo"])
+    def test_deepest_block_gradients_are_the_full_ones(self, name):
+        # the deepest active block returns no input gradient, and skips its
+        # attention half when none of wq, wk, wv and wo is active
+        m = TinyAttentionLM(vocab_size=20, d_model=8, depth=4, context=8, seed=6)
+        batch = lm_batch()
+        full = full_gradient(m, batch)
+        active = {"head.weight", "block3.b1", f"block1.{name}"}
+        got = backward_truncated(m, batch, active)
+        assert set(got) == active
+        for n in active:
+            assert np.array_equal(got[n], full[n]), n
+
     def test_alternating_sequence_lengths(self):
         m = TinyAttentionLM(vocab_size=20, d_model=8, depth=2, context=8, seed=7)
         short, full_len = lm_batch(T=5, seed=1), lm_batch(T=8, seed=1)
@@ -208,7 +232,36 @@ class TestAttentionKernels:
             assert rel_err(g[t.name][i], (lp - lm) / (2 * h)) <= 1e-5
 
 
+class _Metered(np.ndarray):
+    """An array whose matmuls add their FLOPs, 2*m*k*n per (m,k)@(k,n)
+    product, to ``_Metered.flops``; what is computed from it stays metered."""
+
+    flops = 0
+
+    def __array_ufunc__(self, ufunc, method, *inputs, out=None, **kwargs):
+        plain = [np.asarray(a) for a in inputs]
+        if ufunc is np.matmul and method == "__call__":
+            _Metered.flops += 2 * plain[0].size * plain[1].shape[-1]
+        if out is not None:
+            getattr(ufunc, method)(*plain, out=tuple(np.asarray(o) for o in out), **kwargs)
+            return out[0]
+        return np.asarray(getattr(ufunc, method)(*plain, **kwargs)).view(_Metered)
+
+
 class TestCostModel:
+    def test_attention_forward_flops_are_the_matmuls_it_runs(self):
+        B, T, d = 3, 5, 7
+        block = TinyAttentionLM(vocab_size=11, d_model=d, depth=1, context=T, seed=2).layers[1]
+        x = np.random.default_rng(0).standard_normal((B, T, d))
+        out, _ = block.forward(x)
+        _Metered.flops = 0
+        metered, _ = block.forward(x.view(_Metered))
+        assert np.array_equal(np.asarray(metered), out)
+        proj, mix, ff = 2 * B * T * d * d, 2 * B * T * T * d, 2 * B * T * d * 4 * d
+        # the fused q/k/v GEMM, wo, q @ k.T and a @ v, w1 and w2
+        assert _Metered.flops == 3 * proj + proj + 2 * mix + 2 * ff
+        assert sum(e.fwd_flops for e in block.cost_entries(0, B, T)) == _Metered.flops
+
     def test_quadratic_element_count_convention(self):
         m = QuadraticModel(blocks=((10, 1.0, 0.0),), seed=0)
         cm = flops_profile(m, 1)

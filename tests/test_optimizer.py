@@ -1,7 +1,10 @@
+import copy
 import csv
+import gc
 import hashlib
 import math
 import os
+import pickle
 import subprocess
 import sys
 import warnings
@@ -392,6 +395,128 @@ class TestBaselines:
         u = rng.standard_normal(100_000)
         ghat = ((0.5 * (theta + eps * u) ** 2 - 0.5 * (theta - eps * u) ** 2) / (2 * eps)) * u
         assert abs(ghat.mean() - theta) <= 0.01 * theta
+
+
+def prefix_case(kind):
+    """A model whose FO set leaves frozen layers below it, its plan and four batches."""
+    if kind == "lm":
+        # layers output first: head, block3, block2, block1, block0, embed
+        m = TinyAttentionLM(vocab_size=12, d_model=8, depth=4, context=8, seed=3)
+        fo = ["head.weight", "block3.b2", "block2.b1", "block2.w2"]
+        rng = np.random.default_rng(1)
+        batches = [Batch(*rng.integers(0, 12, size=(2, 3, 8))) for _ in range(4)]
+    else:
+        m = MLPModel(dims=(2, 8, 6, 2), seed=3)
+        fo = ["layer0.weight", "layer1.bias"]
+        batches = two_moons_batches(4, 8, seed=2)
+    plan = PartitionPlan(fo, [t.name for t in m.tensors() if t.name not in fo], 0.5, 0.0, 0, 0.0)
+    apply_plan(m, plan)
+    return m, plan, batches
+
+
+def reference_frozen_step(m, batch, cfg, step):
+    """The frozen-subset step written out: a plain forward, a truncated backward
+    and SGD; the record's fields in order, without wall_ns."""
+    f0, b0 = m.tally.forward, m.tally.backward
+    loss, cache = m.forward_with_cache(batch)
+    grads = m.backward_from_cache(batch, cache, m.fo_names)
+    for t in m.fo:
+        t.data -= cfg.eta_fo * grads[t.name]
+    norm = math.sqrt(sum(float(g @ g) for g in grads.values()))
+    return (step, loss, 0.0, loss, norm, 0.0, m.tally.backward - b0, m.tally.forward - f0, False)
+
+
+def deterministic(rec):
+    return tuple(getattr(rec, f.name) for f in fields(StepRecord) if f.name != "wall_ns")
+
+
+def count_calls(layer):
+    """The list that gets one entry per call of the layer's forward from now on."""
+    calls, forward = [], layer.forward
+    layer.forward = lambda x: calls.append(1) or forward(x)
+    return calls
+
+
+class TestFrozenPrefix:
+    """The frozen-subset step runs the frozen layers below its deepest FO
+    tensor once per batch and reads their output back while nothing they
+    read has changed; every step equals the step written out."""
+
+    @pytest.mark.parametrize("kind", ["lm", "mlp"])
+    def test_steps_match_the_reference_loop(self, kind):
+        m, plan, batches = prefix_case(kind)
+        ref = prefix_case(kind)[0]
+        calls = count_calls(m.layers[-1])
+        cfg = OptimizerConfig(**CFG)
+        for s in range(12):
+            b = batches[s % 4]
+            assert deterministic(baseline_step_frozen_subset(m, b, cfg, plan, s)) == \
+                reference_frozen_step(ref, b, cfg, s), s
+        assert m.flat.tobytes() == ref.flat.tobytes()
+        assert len(calls) == 4  # once per batch
+
+    @pytest.mark.parametrize("event, misses", [
+        ("frozen_write", 4), ("input_write", 1), ("hizfo_step", 4), ("other_split", 4)])
+    def test_a_change_to_what_the_prefix_reads_misses(self, event, misses):
+        m, plan, batches = prefix_case("lm")
+        ref = prefix_case("lm")[0]
+        cfg = OptimizerConfig(**CFG)
+        for s in range(4):
+            baseline_step_frozen_subset(m, batches[s], cfg, plan, s)
+            reference_frozen_step(ref, batches[s], cfg, s)
+        names = [t.name for t in m.tensors()]
+        other = PartitionPlan(["head.weight", "block1.w1"],
+                              [n for n in names if n not in ("head.weight", "block1.w1")], 0.5, 0.0, 0, 0.0)
+        for model in (m, ref):
+            if event == "frozen_write":
+                tensor_named(model, "block0.wq").data[3] += 0.25
+            elif event == "hizfo_step":
+                hizfo_step(model, batches[0], cfg, 4)
+            elif event == "other_split":
+                apply_plan(model, other)
+                assert model._prefix == (None, {})  # a new buffer keeps nothing
+        if event == "input_write":
+            batches[0].inputs[1, 2] = (batches[0].inputs[1, 2] + 1) % 12
+        calls = count_calls(m.layers[-1])
+        for s in range(5, 13):
+            b = batches[s % 4]
+            rec = baseline_step_frozen_subset(m, b, cfg, other if event == "other_split" else plan, s)
+            assert deterministic(rec) == reference_frozen_step(ref, b, cfg, s), s
+        assert m.flat.tobytes() == ref.flat.tobytes()
+        assert len(calls) == misses
+
+    def test_an_entry_lives_no_longer_than_its_batch(self):
+        m, plan, batches = prefix_case("lm")
+        batch = Batch(batches[0].inputs.copy(), batches[0].targets.copy())
+        baseline_step_frozen_subset(m, batches[1], OptimizerConfig(**CFG), plan)
+        baseline_step_frozen_subset(m, batch, OptimizerConfig(**CFG), plan)
+        assert sorted(m._prefix[1]) == sorted((id(batches[1]), id(batch)))
+        del batch
+        gc.collect()
+        assert list(m._prefix[1]) == [id(batches[1])]
+        for clone in (copy.deepcopy(m), pickle.loads(pickle.dumps(m))):
+            assert clone._prefix[1] == {}
+
+    @pytest.mark.parametrize("kept_first", [False, True])
+    def test_an_overflowing_prefix_fails_like_the_uncached_pass(self, kept_first):
+        m, plan, batches = prefix_case("lm")
+        ref = prefix_case("lm")[0]
+        b, cfg = batches[0], OptimizerConfig(**CFG)
+        if kept_first:
+            baseline_step_frozen_subset(m, b, cfg, plan)
+            reference_frozen_step(ref, b, cfg, 0)
+        for model in (m, ref):
+            tensor_named(model, "block0.b2").data[:] = np.inf
+        with pytest.raises(NumericOverflowError) as want:
+            ref.forward_with_cache(b)
+        assert want.value.layer_index == 4  # block0, inside the frozen prefix
+        before = m.flat.copy()
+        for s in range(2):  # nothing is kept from a pass that overflowed
+            assert baseline_step_frozen_subset(m, b, cfg, plan, s).diverged
+            with pytest.raises(NumericOverflowError) as got:
+                m.forward_with_cache(b, reuse_prefix=True)
+            assert (str(got.value), got.value.layer_index) == (str(want.value), want.value.layer_index)
+        assert m.flat.tobytes() == before.tobytes()
 
 
 # alpha -> the records of two hybrid steps (every field but wall_ns)
