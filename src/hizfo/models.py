@@ -19,14 +19,14 @@ scatter-adds) are charged one FLOP per touched element. Activation
 propagation through a layer is charged whenever the layer is traversed,
 including the deepest traversed layer, so the cost of a full backward
 equals the sum of all per-tensor entries exactly. The tally counts this
-budget-comparable cost; the deepest layer and a kept frozen prefix run less.
+budget-comparable cost; the deepest layer and a frozen prefix that the run
+keeps (``_SequentialModel._forward``) run less.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-import weakref
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -140,7 +140,7 @@ class LayeredModel:
     def __getstate__(self):
         # a copy carries each parameter once, in its tensor, and assign lays
         # the buffer out again when it is restored
-        return {k: v for k, v in self.__dict__.items() if k not in ("flat", "zo", "_prefix")}
+        return {k: v for k, v in self.__dict__.items() if k not in ("flat", "zo")}
 
     def __setstate__(self, state):
         self.__dict__.update(state)
@@ -167,10 +167,9 @@ class LayeredModel:
             t.data = self.flat[k : k + t.size]
             k += t.size
         self.zo = self.flat[: self.flat.size - sum(t.size for t in self.fo)]
-        self._prefix = (None, {})  # the frozen bytes and the kept outputs of _SequentialModel._forward
 
     # subclasses implement:
-    def _forward(self, batch, reuse_prefix=False):  # -> (loss, cache)
+    def _forward(self, batch, kept=None):  # -> (loss, cache)
         raise NotImplementedError
 
     def _backward(self, batch, cache, active: set):  # -> dict name -> grad
@@ -196,13 +195,13 @@ class LayeredModel:
         loss, _ = self.forward_with_cache(batch)
         return loss
 
-    def forward_with_cache(self, batch: Batch, reuse_prefix: bool = False):
-        """One checked, tallied pass. With `reuse_prefix` it may start higher (``_kept_prefix``),
-        and its cache then serves only a backward over the FO set."""
+    def forward_with_cache(self, batch: Batch, kept: dict | None = None):
+        """One checked, tallied pass. With `kept` (``_SequentialModel._forward``) it may start
+        higher, and its cache then serves only a backward over the FO set."""
         # overflow surfaces as a NumericOverflowError from the finite check,
         # not as numpy runtime warnings
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            loss, cache = self._forward(batch, reuse_prefix)
+            loss, cache = self._forward(batch, kept)
         if not np.isfinite(loss):
             raise NumericOverflowError("non-finite loss", 0)
         self.tally.forward += self._batch_cost(batch).total_forward_flops
@@ -248,7 +247,7 @@ class QuadraticModel(LayeredModel):
     def dummy_batch(self) -> Batch:
         return Batch(np.zeros((1, 1)), np.zeros((1, 1)))
 
-    def _forward(self, batch, reuse_prefix=False):
+    def _forward(self, batch, kept=None):
         loss = 0.0
         for t, c, tgt in zip(self._tensors, self.curvatures, self.targets):
             d = t.data - tgt
@@ -278,20 +277,25 @@ class _SequentialModel(LayeredModel):
     ``_inputs``; the layer walk and the cross-entropy loss are shared.
     """
 
-    def _forward(self, batch, reuse_prefix=False):
+    def _forward(self, batch, kept=None):
         """Loss and cache of one pass, with one finite check for the pass.
 
         NaN and ±inf in any layer's output reach the loss, except a -inf
         logit off the targets, which the logits' sum catches. Only when that
         check fails are the outputs scanned in forward order; the first
-        non-finite one is raised as ``NumericOverflowError``. A prefix is kept
-        only from a pass that passed, so one that starts above it scans as a full one.
+        non-finite one is raised as ``NumericOverflowError``.
+
+        With `kept`, the output of the layers below the deepest FO layer is
+        stored in it under ``id(batch)`` as ``(batch, fo, output)``, read-only,
+        and read back for the same batch and ``fo`` list. Only a pass that
+        passed stores one, so a pass that starts above it scans as a full one.
         """
         h = self._inputs(batch)
         top = start = len(self.layers) - 1
-        deepest, kept, key = self._kept_prefix(batch, h) if reuse_prefix else (top, None, None)
-        if kept is not None:
-            start, h = deepest, kept
+        deepest = top if kept is None else max((t.layer_index for t in self.fo), default=-1)
+        b, fo, out = kept.get(id(batch), (None,) * 3) if deepest < top else (None,) * 3
+        if b is batch and fo is self.fo:
+            start, h = deepest, out
         caches, outs = [None] * (top + 1), [None] * (top + 1)  # caches in forward order, outs by layer
         for li in range(start, -1, -1):
             h, caches[top - li] = self.layers[li].forward(h)
@@ -301,26 +305,10 @@ class _SequentialModel(LayeredModel):
             for li in range(start, -1, -1):
                 if not np.all(np.isfinite(outs[li])):
                     raise NumericOverflowError(f"non-finite activations at layer {li}", li)
-        if key is not None and kept is None:
+        if start > deepest:  # holding the batch pins its id
             outs[deepest + 1].flags.writeable = False
-            entries = self._prefix[1]
-            drop = lambda _, k=id(batch): entries.pop(k, None)  # the batch died
-            entries[id(batch)] = (weakref.ref(batch, drop), key, outs[deepest + 1])
+            kept[id(batch)] = (batch, self.fo, outs[deepest + 1])
         return loss, (caches, g_logits)
-
-    def _kept_prefix(self, batch, x):
-        """The deepest FO layer, the frozen layers' output kept for `batch` or None, and the key
-        to keep one under, None with no layer below. Outputs are read back while their batch lives,
-        `x` and the ZO bytes match and ``assign`` has not run; new ZO bytes drop them all."""
-        deepest = max((t.layer_index for t in self.fo), default=-1)
-        if deepest == len(self.layers) - 1:
-            return deepest, None, None
-        frozen = self.zo.tobytes()  # a bytes compare beats a memoryview one ~50x
-        if frozen != self._prefix[0]:
-            self._prefix = (frozen, {})
-        key = (x.dtype.str, x.shape, x.tobytes())
-        ref, seen, kept = self._prefix[1].get(id(batch), (None, None, None))
-        return deepest, kept if seen == key and ref() is batch else None, key
 
     def _loss(self, logits, batch):
         """Mean cross-entropy over every position of ``logits`` (..., classes)

@@ -75,10 +75,15 @@ class StepRecord:
 
 
 class FoUpdater:
-    """SGD at ``eta_fo`` on the FO tensors; the steps take it as ``fo_updater`` so a caller can swap it."""
+    """SGD at ``eta_fo`` on the FO tensors; the steps take it as ``fo_updater`` so a caller can swap it.
+
+    One updater serves one run: ``kept`` holds the run's frozen-layer outputs by batch
+    (``models._SequentialModel._forward``). A caller that writes the model's frozen
+    tensors or a batch's inputs between steps passes a new updater."""
 
     def __init__(self, cfg: OptimizerConfig):
         self.cfg = cfg
+        self.kept = {}
 
     @np.errstate(over="ignore", invalid="ignore")
     def apply(self, tensors, grads) -> None:
@@ -160,19 +165,21 @@ def baseline_step_frozen_subset(
     step_index: int = 0, fo_updater: FoUpdater | None = None,
 ) -> StepRecord:
     """First-order updates on the model's FO set, after applying `plan` if the model does not
-    hold it; the frozen layers below the deepest FO layer run once per batch while unchanged."""
+    hold it. The frozen layers below the deepest FO layer run once per batch and split in
+    one `fo_updater`, whose ``kept`` holds their outputs; without one, every step runs them."""
     if set(plan.fo_set) != set(model.fo_names):
         apply_plan(model, plan)
-    return _fo_step(model, batch, cfg, step_index, fo_updater, model.fo, model.fo_names, reuse_prefix=True)
+    kept = fo_updater.kept if fo_updater else None
+    return _fo_step(model, batch, cfg, step_index, fo_updater, model.fo, model.fo_names, kept)
 
 
-def _fo_step(model, batch, cfg, step_index, fo_updater, tensors, names, reuse_prefix=False) -> StepRecord:
+def _fo_step(model, batch, cfg, step_index, fo_updater, tensors, names, kept=None) -> StepRecord:
     """First-order update of `tensors`, called `names`, from one truncated backward."""
     t0 = time.perf_counter_ns()
     updater = fo_updater or FoUpdater(cfg)
     fwd_before, bwd_before = model.tally.forward, model.tally.backward
     try:
-        loss, cache = model.forward_with_cache(batch, reuse_prefix)
+        loss, cache = model.forward_with_cache(batch, kept)
     except NumericOverflowError:
         return _diverged(step_index, model, fwd_before, t0)
     grads = model.backward_from_cache(batch, cache, names)

@@ -287,14 +287,6 @@ class TestCli:
         assert len(summary) == 2
         assert all(r["n_runs"] == "5" for r in summary)
 
-    def test_sweep_r_axis_sets_zo_rate(self, tmp_path):
-        cfg = self.write_cfg(tmp_path)
-        code = self.run_cli(
-            "sweep", "--config", str(cfg), "--axis", "r",
-            "--values", "0.1", "--out", str(tmp_path / "swr"),
-        )
-        assert code == 0
-
     def test_alpha_zero_arm_matches_frozen_coupling_fo(self, tmp_path):
         # a single alpha=0 hybrid step applies the same FO update as the
         # frozen-subset baseline, up to the (tiny-rate) ZO update side

@@ -8,6 +8,7 @@ import pickle
 import subprocess
 import sys
 import warnings
+import weakref
 from dataclasses import astuple, fields
 from pathlib import Path
 
@@ -438,9 +439,9 @@ def count_calls(layer):
 
 
 class TestFrozenPrefix:
-    """The frozen-subset step runs the frozen layers below its deepest FO
-    tensor once per batch and reads their output back while nothing they
-    read has changed; every step equals the step written out."""
+    """One run's ``FoUpdater`` keeps the output of the frozen layers below the
+    deepest FO tensor per batch, so they run once per batch in that run;
+    every step equals the step written out."""
 
     @pytest.mark.parametrize("kind", ["lm", "mlp"])
     def test_steps_match_the_reference_loop(self, kind):
@@ -448,21 +449,37 @@ class TestFrozenPrefix:
         ref = prefix_case(kind)[0]
         calls = count_calls(m.layers[-1])
         cfg = OptimizerConfig(**CFG)
+        updater = FoUpdater(cfg)
         for s in range(12):
             b = batches[s % 4]
-            assert deterministic(baseline_step_frozen_subset(m, b, cfg, plan, s)) == \
+            assert deterministic(baseline_step_frozen_subset(m, b, cfg, plan, s, updater)) == \
                 reference_frozen_step(ref, b, cfg, s), s
         assert m.flat.tobytes() == ref.flat.tobytes()
         assert len(calls) == 4  # once per batch
 
+    def test_without_an_updater_every_step_runs_the_prefix(self):
+        m, plan, batches = prefix_case("lm")
+        ref = prefix_case("lm")[0]
+        calls = count_calls(m.layers[-1])
+        cfg = OptimizerConfig(**CFG)
+        for s in range(12):
+            b = batches[s % 4]
+            assert deterministic(baseline_step_frozen_subset(m, b, cfg, plan, s)) == \
+                reference_frozen_step(ref, b, cfg, s), s
+        assert len(calls) == 12
+
     @pytest.mark.parametrize("event, misses", [
-        ("frozen_write", 4), ("input_write", 1), ("hizfo_step", 4), ("other_split", 4)])
+        ("frozen_write", 4), ("input_write", 4), ("hizfo_step", 4),  # then a new updater
+        ("other_split", 4), ("own_split", 4), ("deep_copy", 4), ("pickle", 4)])  # the same one
     def test_a_change_to_what_the_prefix_reads_misses(self, event, misses):
+        # a write from outside the run needs a new updater; another split and
+        # another model miss with the same one, as each has its own model.fo
         m, plan, batches = prefix_case("lm")
         ref = prefix_case("lm")[0]
         cfg = OptimizerConfig(**CFG)
+        updater = FoUpdater(cfg)
         for s in range(4):
-            baseline_step_frozen_subset(m, batches[s], cfg, plan, s)
+            baseline_step_frozen_subset(m, batches[s], cfg, plan, s, updater)
             reference_frozen_step(ref, batches[s], cfg, s)
         names = [t.name for t in m.tensors()]
         other = PartitionPlan(["head.weight", "block1.w1"],
@@ -472,30 +489,38 @@ class TestFrozenPrefix:
                 tensor_named(model, "block0.wq").data[3] += 0.25
             elif event == "hizfo_step":
                 hizfo_step(model, batches[0], cfg, 4)
-            elif event == "other_split":
-                apply_plan(model, other)
-                assert model._prefix == (None, {})  # a new buffer keeps nothing
+            elif event == "other_split" or event == "own_split" and model is ref:
+                apply_plan(model, other)  # the step re-splits m itself in own_split
         if event == "input_write":
             batches[0].inputs[1, 2] = (batches[0].inputs[1, 2] + 1) % 12
+        if event in ("frozen_write", "input_write", "hizfo_step"):
+            updater = FoUpdater(cfg)
+        elif event == "deep_copy":
+            m = copy.deepcopy(m)
+        elif event == "pickle":
+            m = pickle.loads(pickle.dumps(m))
         calls = count_calls(m.layers[-1])
         for s in range(5, 13):
             b = batches[s % 4]
-            rec = baseline_step_frozen_subset(m, b, cfg, other if event == "other_split" else plan, s)
+            rec = baseline_step_frozen_subset(m, b, cfg, other if event.endswith("split") else plan, s, updater)
             assert deterministic(rec) == reference_frozen_step(ref, b, cfg, s), s
         assert m.flat.tobytes() == ref.flat.tobytes()
         assert len(calls) == misses
 
-    def test_an_entry_lives_no_longer_than_its_batch(self):
+    def test_no_kept_output_outlives_train(self):
         m, plan, batches = prefix_case("lm")
-        batch = Batch(batches[0].inputs.copy(), batches[0].targets.copy())
-        baseline_step_frozen_subset(m, batches[1], OptimizerConfig(**CFG), plan)
-        baseline_step_frozen_subset(m, batch, OptimizerConfig(**CFG), plan)
-        assert sorted(m._prefix[1]) == sorted((id(batches[1]), id(batch)))
-        del batch
+        layer = m.layers[max(t.layer_index for t in m.fo) + 1]  # the frozen prefix's top layer
+        forward, outs = layer.forward, []
+
+        def forward_and_watch(x):
+            h, cache = forward(x)
+            outs.append(weakref.ref(h))
+            return h, cache
+
+        layer.forward = forward_and_watch
+        train(m, batches, OptimizerConfig(max_steps=12, **CFG), plan, "frozen_subset")
         gc.collect()
-        assert list(m._prefix[1]) == [id(batches[1])]
-        for clone in (copy.deepcopy(m), pickle.loads(pickle.dumps(m))):
-            assert clone._prefix[1] == {}
+        assert len(outs) == 4 and all(r() is None for r in outs)
 
     @pytest.mark.parametrize("kept_first", [False, True])
     def test_an_overflowing_prefix_fails_like_the_uncached_pass(self, kept_first):
@@ -503,19 +528,20 @@ class TestFrozenPrefix:
         ref = prefix_case("lm")[0]
         b, cfg = batches[0], OptimizerConfig(**CFG)
         if kept_first:
-            baseline_step_frozen_subset(m, b, cfg, plan)
+            baseline_step_frozen_subset(m, b, cfg, plan, 0, FoUpdater(cfg))
             reference_frozen_step(ref, b, cfg, 0)
         for model in (m, ref):
             tensor_named(model, "block0.b2").data[:] = np.inf
         with pytest.raises(NumericOverflowError) as want:
             ref.forward_with_cache(b)
         assert want.value.layer_index == 4  # block0, inside the frozen prefix
-        before = m.flat.copy()
+        before, updater = m.flat.copy(), FoUpdater(cfg)  # a frozen tensor was written: a new run
         for s in range(2):  # nothing is kept from a pass that overflowed
-            assert baseline_step_frozen_subset(m, b, cfg, plan, s).diverged
+            assert baseline_step_frozen_subset(m, b, cfg, plan, s, updater).diverged
             with pytest.raises(NumericOverflowError) as got:
-                m.forward_with_cache(b, reuse_prefix=True)
+                m.forward_with_cache(b, kept=updater.kept)
             assert (str(got.value), got.value.layer_index) == (str(want.value), want.value.layer_index)
+        assert updater.kept == {}
         assert m.flat.tobytes() == before.tobytes()
 
 

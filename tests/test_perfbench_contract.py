@@ -84,6 +84,23 @@ def test_harness_steps_every_algorithm(workload, tmp_path):
     assert checks.attempted > 0 and checks.failed == 0, checks.notes
 
 
+
+def test_harness_steps_frozen_subset_on_the_kept_prefix(tmp_path):
+    # the harness passes one FoUpdater per run, so its frozen_subset steps run
+    # the frozen layers once per batch and the benchmark times that path
+    w = harness.WORKLOADS["lm_d4_train"]
+    setup = harness.set_up(harness.make_inputs(w, 7, tmp_path, steps=5))
+    checks = harness.Checks()
+    trainer = harness.Trainer(setup, 10**9, w.reference, checks)
+    (a,) = [a for a in trainer.algs if a.name == "frozen_subset"]
+    embed, calls = a.model.layers[-1], []
+    forward = embed.forward
+    embed.forward = lambda x: calls.append(1) or forward(x)
+    for _ in range(32):
+        trainer.step(a)
+    assert len(setup.batches) == 16 and len(calls) == 16
+    assert checks.failed == 0, checks.notes
+
 def test_noise_spans_count_the_elements_drawn():
     # the traced run counts rng.noise_elems from the first argument of each
     # rng.add_scaled_noise call and matches the hybrid step's phases by call
