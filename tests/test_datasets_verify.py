@@ -145,10 +145,14 @@ class TestEstimatorProperties:
             assert bias_sq < 1e-8
 
     def test_bias_vanishes_in_small_mu_limit(self):
-        obj = QuarticObjective()
-        theta = np.full(4, 0.7)
-        tiny = squared_bias(obj, theta, 1e-6, 50_000, seed=2)
-        assert tiny < 1e-10
+        # for sum(theta^4) and u ~ N(0, I) the forward difference's mean is
+        # exactly grad + 12 mu^2 theta; the pairing resolves it within 4.75%
+        # at every mu, a repeated draw only to 57% at mu = 0.1 and worse below
+        obj, theta = QuarticObjective(), np.ones(8)
+        for mu in (1e-1, 1e-2, 1e-3, 1e-4):
+            bias = estimator_mean(obj, theta, mu, 20_000, seed=3, antithetic=True) - obj.grad(theta)
+            want = 12 * mu**2 * theta
+            assert np.linalg.norm(bias - want) <= 0.1 * np.linalg.norm(want), mu
 
     def test_control_variate_matches_raw_mean_estimand(self):
         obj = QuadraticObjective(np.ones(6))

@@ -248,19 +248,31 @@ class _Metered(np.ndarray):
         return np.asarray(getattr(ufunc, method)(*plain, **kwargs)).view(_Metered)
 
 
-class TestCostModel:
-    def test_attention_forward_flops_are_the_matmuls_it_runs(self):
+def forward_case(kind):
+    """A layer, an input for it, and the (B, T) its cost entries price that input at."""
+    x = np.random.default_rng(0).standard_normal
+    if kind in ("attention", "lm_head"):
         B, T, d = 3, 5, 7
-        block = TinyAttentionLM(vocab_size=11, d_model=d, depth=1, context=T, seed=2).layers[1]
-        x = np.random.default_rng(0).standard_normal((B, T, d))
-        out, _ = block.forward(x)
+        lm = TinyAttentionLM(vocab_size=11, d_model=d, depth=1, context=T, seed=2)
+        return lm.layers[1 if kind == "attention" else 0], x((B, T, d)), B, T
+    layer = MLPModel(dims=(3, 4, 5), seed=2).layers[1 if kind == "mlp_tanh" else 0]
+    return layer, x((6, layer.fan_in)), 6, 1
+
+
+class TestCostModel:
+    @pytest.mark.parametrize("kind", ["attention", "mlp_tanh", "mlp_linear", "lm_head"])
+    def test_forward_flops_are_the_matmuls_it_runs(self, kind):
+        layer, x, B, T = forward_case(kind)
+        out, _ = layer.forward(x)
         _Metered.flops = 0
-        metered, _ = block.forward(x.view(_Metered))
+        metered, _ = layer.forward(x.view(_Metered))
         assert np.array_equal(np.asarray(metered), out)
-        proj, mix, ff = 2 * B * T * d * d, 2 * B * T * T * d, 2 * B * T * d * 4 * d
-        # the fused q/k/v GEMM, wo, q @ k.T and a @ v, w1 and w2
-        assert _Metered.flops == 3 * proj + proj + 2 * mix + 2 * ff
-        assert sum(e.fwd_flops for e in block.cost_entries(0, B, T)) == _Metered.flops
+        assert sum(e.fwd_flops for e in layer.cost_entries(0, B, T)) == _Metered.flops
+        if kind == "attention":
+            d = x.shape[-1]
+            proj, mix, ff = 2 * B * T * d * d, 2 * B * T * T * d, 2 * B * T * d * 4 * d
+            # the fused q/k/v GEMM, wo, q @ k.T and a @ v, w1 and w2
+            assert _Metered.flops == 3 * proj + proj + 2 * mix + 2 * ff
 
     def test_quadratic_element_count_convention(self):
         m = QuadraticModel(blocks=((10, 1.0, 0.0),), seed=0)

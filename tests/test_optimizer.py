@@ -104,25 +104,6 @@ class TestHizfoStep:
         hizfo_step(m, m.dummy_batch(), cfg, 0)
         assert m.tensors()[0].data[0] == pytest.approx(1.0 - eta * (1 + alpha) * 1.0, abs=1e-15)
 
-    def test_coupling_changes_fo_gradient_on_mlp(self):
-        m, plan = mlp_with_split()
-        batch = two_moons_batches(1, 32, seed=3)[0]
-        fo_names = list(plan.fo_set)
-        zo = [tensor_named(m, n).data for n in plan.zo_set]
-        eps = 1e-3
-        loss_clean, cache = m.forward_with_cache(batch)
-        g_clean = m.backward_from_cache(batch, cache, fo_names)
-        rng = np.random.default_rng(0)
-        us = [rng.standard_normal(a.shape) for a in zo]
-        for a, u in zip(zo, us):
-            a += eps * u
-        _, cache_p = m.forward_with_cache(batch)
-        g_pert = m.backward_from_cache(batch, cache_p, fo_names)
-        for a, u in zip(zo, us):
-            a -= eps * u
-        diff = max(np.max(np.abs(g_clean[n] - g_pert[n])) for n in fo_names)
-        assert diff > 0.0  # the perturbed tape sees different activations
-
     def test_alpha_term_is_gradient_of_perturbed_loss(self):
         # FO tensors in the head and the input-side block: the output-side
         # block's ZO tensors lie on the path the alpha term propagates through
@@ -388,14 +369,6 @@ class TestBaselines:
             rec = baseline_step_frozen_subset(m, batch, cfg, plan)
             expected = cost.subset_backward_flops(plan.fo_set)
         assert rec.backward_flops == m.tally.backward - before == expected
-
-    def test_mezo_mean_estimate_tracks_gradient(self):
-        theta = 2.0
-        eps = 1e-3
-        rng = np.random.default_rng(1)
-        u = rng.standard_normal(100_000)
-        ghat = ((0.5 * (theta + eps * u) ** 2 - 0.5 * (theta - eps * u) ** 2) / (2 * eps)) * u
-        assert abs(ghat.mean() - theta) <= 0.01 * theta
 
 
 def prefix_case(kind):
