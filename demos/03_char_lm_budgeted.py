@@ -47,4 +47,3 @@ print(f"\nloss curve (eval every {cfg.eval_interval} steps):")
 for step, loss in report.eval_history:
     print(f"  step {step:>4}: {loss:.4f}")
 print(f"\nuniform-guess loss would be ln({corpus.vocab.size}) = {np.log(corpus.vocab.size):.3f}")
-print(f"memory proxy: {report.memory_proxy}")

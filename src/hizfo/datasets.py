@@ -15,12 +15,14 @@ def two_moons(n: int, noise: float = 0.15, seed: int = 0) -> tuple[np.ndarray, n
     half = n // 2
     t_outer = rng.uniform(0.0, np.pi, size=half)
     t_inner = rng.uniform(0.0, np.pi, size=n - half)
-    outer = np.stack([np.cos(t_outer), np.sin(t_outer)], axis=1)
-    inner = np.stack([1.0 - np.cos(t_inner), 0.5 - np.sin(t_inner)], axis=1)
-    x = np.concatenate([outer, inner]) + rng.normal(0.0, noise, size=(n, 2))
-    y = np.concatenate([np.zeros(half, dtype=int), np.ones(n - half, dtype=int)])
+    x = np.empty((n, 2))
+    np.cos(t_outer, out=x[:half, 0])
+    np.sin(t_outer, out=x[:half, 1])
+    np.subtract(1.0, np.cos(t_inner), out=x[half:, 0])
+    np.subtract(0.5, np.sin(t_inner), out=x[half:, 1])
+    x += rng.normal(0.0, noise, size=(n, 2))
     order = rng.permutation(n)
-    return x[order], y[order]
+    return x.take(order, axis=0), (order >= half).astype(int)
 
 
 def two_moons_batches(n_batches: int, batch_size: int, noise: float = 0.15, seed: int = 0) -> list[Batch]:

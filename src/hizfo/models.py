@@ -431,9 +431,11 @@ class _EmbeddingLayer:
         grads = {}
         tok, pos = self.tensors
         if tok.name in active:
-            g = np.zeros((self.vocab, self.d_model))
-            np.add.at(g, tokens.reshape(-1), g_out.reshape(-1, self.d_model))
-            grads[tok.name] = g.reshape(-1)
+            # intp first: uint8 corpus ids wrap when multiplied by d_model
+            cells = tokens.astype(np.intp)[..., None] * self.d_model + np.arange(self.d_model)
+            g = np.zeros(self.vocab * self.d_model)
+            np.add.at(g, cells.reshape(-1), g_out.reshape(-1))
+            grads[tok.name] = g
         if pos.name in active:
             g = np.zeros((self.context, self.d_model))
             g[: tokens.shape[1]] = g_out.sum(axis=0)

@@ -232,7 +232,6 @@ class RunReport:
     total_backward_flops: int = 0
     total_forward_flops: int = 0
     wall_total_ns: int = 0
-    memory_proxy: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         """Every field but the step records, which steps.csv holds. JSON has
@@ -316,8 +315,6 @@ def train(
                 eval_history.append((len(records), loss))
         final_eval = float("inf") if diverged else eval_history[-1][1]
 
-    # tensors whose activations the gradient tape must keep
-    taped = {"full_fo": model.tensors(), "mezo": []}.get(algorithm, model.fo)
     return RunReport(
         algorithm=algorithm,
         steps_run=len(records),
@@ -328,5 +325,4 @@ def train(
         total_backward_flops=int(sum(r.backward_flops for r in records)),
         total_forward_flops=int(sum(r.forward_flops for r in records)),
         wall_total_ns=time.perf_counter_ns() - t_start,
-        memory_proxy={"tape_params": int(sum(t.size for t in taped))},
     )

@@ -209,6 +209,21 @@ class TestAttentionKernels:
         for n in active:
             assert np.array_equal(got[n], full[n]), n
 
+    def test_token_gradient_is_the_row_wise_scatter(self):
+        # uint8 ids, as the corpus gives them, repeating; 63 * d_model wraps a
+        # byte, and the lone id 63 gets only -0.0 terms
+        embed = TinyAttentionLM(vocab_size=64, d_model=16, depth=0, seed=0).layers[-1]
+        rng = np.random.default_rng(6)
+        tokens = rng.choice(np.array([0, 5, 40], dtype=np.uint8), size=(8, 16))
+        tokens[3, 7] = 63
+        g_out = rng.standard_normal((8, 16, 16))
+        g_out[rng.random(g_out.shape) < 0.25] = -0.0
+        g_out[3, 7] = -0.0
+        got, _ = embed.backward(g_out, tokens, {"embed.token"}, False)
+        want = np.zeros((64, 16))
+        np.add.at(want, tokens.reshape(-1), g_out.reshape(-1, 16))
+        assert got["embed.token"].tobytes() == want.tobytes()
+
     def test_alternating_sequence_lengths(self):
         m = TinyAttentionLM(vocab_size=20, d_model=8, depth=2, context=8, seed=7)
         short, full_len = lm_batch(T=5, seed=1), lm_batch(T=8, seed=1)
@@ -337,10 +352,13 @@ class TestCostModel:
         assert tallies[4][0] < tallies[16][0] and tallies[4][1] < tallies[16][1]
 
     def test_roles_do_not_change_costs(self):
-        m = MLPModel(dims=(2, 16, 2), seed=0)
-        t1 = flops_profile(m, 8).total_backward_flops
-        m.assign([])
-        assert flops_profile(m, 8).total_backward_flops == t1
+        # two fresh models, since a model keeps the cost model of its first
+        # call: one all FO, one split before it is first priced
+        for build in (lambda: MLPModel(dims=(2, 16, 2), seed=0),
+                      lambda: TinyAttentionLM(vocab_size=20, d_model=8, depth=2, context=8, seed=0)):
+            split = build()
+            split.assign([t.name for t in split.tensors()[::2]])
+            assert flops_profile(split, 8).to_dict() == flops_profile(build(), 8).to_dict()
 
 
 class TestDeterminismAndErrors:

@@ -702,13 +702,6 @@ class TestTrain:
         with pytest.raises(ConfigurationError):
             train(m, two_moons_batches(1, 8, seed=0), OptimizerConfig(**CFG), None, "hizfo")
 
-    def test_memory_proxy_reported(self):
-        m, plan = mlp_with_split()
-        cfg = OptimizerConfig(max_steps=2, **CFG)
-        report = train(m, two_moons_batches(1, 16, seed=0), cfg, plan, "hizfo")
-        fo_elems = sum(tensor_named(m, n).size for n in plan.fo_set)
-        assert report.memory_proxy == {"tape_params": fo_elems}
-
     def test_step_csv_contract(self, tmp_path, monkeypatch):
         # `hizfo train` writes every StepRecord field but `diverged`, in field
         # order and three under short names, one row per record

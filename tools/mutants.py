@@ -169,6 +169,18 @@ MUTANTS = (
            "planner fit is strict",
            killers=("test_partition.py::TestProperties::test_dp_equals_brute_force",
                     "test_partition.py::TestSolveDp::test_fixture_matches_enumeration")),
+    Mutant("r16", MODELS, (("for e in layer.cost_entries(li, *key)]",
+                            "for e in layer.cost_entries(li, *key) if e.name in self.fo_names]"),),
+           "cost model prices only the FO tensors",
+           killers=("test_datasets_verify.py::TestLmStepEstimator::test_doubled_zo_update_leaves_the_band",
+                    "test_datasets_verify.py::TestLmStepEstimator::test_shipped_step_error_matches_single_probe_variance",
+                    "test_models.py::TestCostModel::test_roles_do_not_change_costs",
+                    "test_optimizer.py::TestBaselines::test_fo_baseline_backward_flops_field",
+                    "test_optimizer.py::TestFrozenPrefix::test_a_change_to_what_the_prefix_reads_misses",
+                    "test_optimizer.py::TestTrain::test_final_weights_are_evaluated_once",
+                    "test_optimizer.py::test_golden_hybrid_steps",
+                    "test_optimizer.py::test_hybrid_step_frees_the_clean_cache_before_the_perturbed_pass",
+                    "test_optimizer.py::test_steady_state_steps_fault_in_no_pages")),
     # hand mutants of the step, the noise, the forward pass, the data and the plan
     Mutant("h01", OPT, (("sq = add_scaled_noise(zo, seed, update - eps)", "sq = add_scaled_noise(zo, seed, update - 2 * eps)"),),
            "hizfo closing pass subtracts 2 eps",
@@ -358,6 +370,11 @@ MUTANTS = (
     Mutant("h28", "README.md", (("```python\n", "```py\n"),), "README quickstart fence renamed",
            killers=("test_demos.py::test_demo_imports_resolve",),
            pinned="README's quickstart is read by the demo import test alone"),
+    Mutant("h29", MODELS, (("cells = tokens.astype(np.intp)[..., None]", "cells = tokens[..., None]"),),
+           "token-embedding scatter multiplies uint8 ids, which wrap",
+           killers=("test_importance.py::TestScoreIsTheUndoRise::test_raw_score_matches_the_measured_undo_rise",
+                    "test_models.py::TestAttentionKernels::test_token_gradient_is_the_row_wise_scatter",
+                    "test_partition.py::TestGoldenPlans::test_attention_lm_depth4_rho08_fills_the_budget")),
     # aimed at the experiments of tests that were deleted
     Mutant("t01", MODELS, (("grads[self.tensors[1].name] = g_pre.sum(axis=0)",
                             "grads[self.tensors[1].name] = g_pre.sum(axis=0) * (1 + 1e-4)"),),
